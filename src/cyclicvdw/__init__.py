@@ -8,8 +8,6 @@ from .coloring import (
     PartitionPlan,
     WcBoundRow,
     build_partition,
-    cycles,
-    cyclic_difference,
     split_alternating,
     verify_partition,
     wc_lower_bounds,
@@ -20,7 +18,6 @@ from .construction import (
     ProgressionClassWitness,
     build_avoiding,
     build_forbidden,
-    exactness_test,
     forbidden_size_formula,
     theorem_bounds,
     witness_class,
@@ -36,23 +33,19 @@ from .progressions import (
     ConjectureReport,
     CyclicProgression,
     DifferenceSet,
-    RingParams,
     canonical_diffs,
     check_conjecture,
     conjectured_difference_set,
     difference_gcd_set,
     enumerate_progressions,
     find_contained_progression,
-    generating_pairs,
     make_progression,
     subgroup_order,
 )
 from .search import (
     ColoringResult,
-    HypergraphView,
     IndependenceResult,
     SearchBudget,
-    build_hypergraph,
     chromatic_number,
     independence_number,
     is_r_colorable,
@@ -71,32 +64,25 @@ __all__ = [
     "DegenerateProgressionError",
     "DifferenceSet",
     "ForbiddenSet",
-    "HypergraphView",
     "IndependenceResult",
     "InternalInconsistencyError",
     "InvalidArgumentError",
     "PartitionPlan",
     "ProgressionClassWitness",
     "ResultsCache",
-    "RingParams",
     "SearchBudget",
     "WcBoundRow",
     "build_avoiding",
     "build_forbidden",
-    "build_hypergraph",
     "build_partition",
     "canonical_diffs",
     "check_conjecture",
     "chromatic_number",
     "conjectured_difference_set",
-    "cycles",
-    "cyclic_difference",
     "difference_gcd_set",
     "enumerate_progressions",
-    "exactness_test",
     "find_contained_progression",
     "forbidden_size_formula",
-    "generating_pairs",
     "independence_number",
     "is_r_colorable",
     "make_progression",

@@ -7,6 +7,7 @@ Exact results are never displaced by bound-only reruns of the same key.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,17 +45,22 @@ class ResultsCache:
     def __init__(self, path):
         self.path = Path(path)
         self._records: dict[str, CacheRecord] = {}
+        # Lines that do not parse as a record, e.g. one torn by a killed writer.
+        self.corrupt_lines = 0
         if self.path.exists():
-            with self.path.open(encoding="utf-8") as fh:
+            with self.path.open(encoding="utf-8", errors="replace") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
-                    d = json.loads(line)
-                    rec = CacheRecord(
-                        d["key"], d["status"], d["value"],
-                        d.get("tool_version", ""), d.get("timestamp", 0.0),
-                    )
+                    try:
+                        d = json.loads(line)
+                        rec = CacheRecord(
+                            d["key"], d["status"], d["value"],
+                            d.get("tool_version", ""), d.get("timestamp", 0.0),
+                        )
+                    except (ValueError, KeyError, TypeError):
+                        self.corrupt_lines += 1
+                        continue
                     self._admit(rec)
 
     def _admit(self, rec: CacheRecord) -> bool:
@@ -76,8 +82,15 @@ class ResultsCache:
         rec = CacheRecord(key, status, value, TOOL_VERSION, time.time())
         if self._admit(rec):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            text = json.dumps(rec.to_dict(), sort_keys=True) + "\n"
+            with self.path.open("ab+") as fh:
+                # A record glued onto a torn line would not load: start a fresh one.
+                size = fh.seek(0, os.SEEK_END)
+                if size:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        text = "\n" + text
+                fh.write(text.encode("utf-8"))
         return self._records[_canon(key)]
 
     def __len__(self) -> int:

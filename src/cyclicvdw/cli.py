@@ -28,6 +28,9 @@ EXIT_INTERNAL = 3
 
 DEFAULT_MAX_EXACT_N = 40
 
+# Failures of the caller's input: exit 2, or one row's error in a sweep.
+PRECONDITION_ERRORS = (InvalidArgumentError, BudgetExceededError)
+
 
 def parse_range(text: str) -> list[int]:
     """Inclusive `a..b` range; a bare integer is a singleton."""
@@ -57,6 +60,16 @@ def _emit_csv(fieldnames: list[str], rows: list[dict]) -> None:
     for row in rows:
         writer.writerow(row)
     sys.stdout.write(buf.getvalue())
+
+
+def _open_cache(path) -> ResultsCache | None:
+    if not path:
+        return None
+    cache = ResultsCache(path)
+    if cache.corrupt_lines:
+        print(f"warning: skipped {cache.corrupt_lines} unreadable line(s) in "
+              f"cache {path}", file=sys.stderr)
+    return cache
 
 
 def _values_text(values) -> str:
@@ -171,7 +184,7 @@ def cmd_exact(args) -> int:
             f"pass --force to run anyway"
         )
     key = {"op": "exact", "n": args.n, "k": args.k, "what": args.what}
-    cache = ResultsCache(args.cache) if args.cache else None
+    cache = _open_cache(args.cache)
     rec = cache.get(key) if cache else None
     if rec is not None:
         value = rec.value
@@ -231,7 +244,7 @@ def cmd_sweep(args) -> int:
     ms = parse_range(args.m)
     if any(k < 3 for k in ks):
         raise InvalidArgumentError("all k in the sweep must be >= 3")
-    cache = ResultsCache(args.cache) if args.cache else None
+    cache = _open_cache(args.cache)
     rows = []
     if args.what == "bounds":
         fields = ["k", "m", "lower", "upper", "exact", "reason", "error"]
@@ -252,7 +265,7 @@ def cmd_sweep(args) -> int:
                                  "upper": b.upper,
                                  "exact": "" if exact is None else exact,
                                  "reason": reason, "error": ""})
-                except Exception as exc:  # per-cell failures stay in-row
+                except PRECONDITION_ERRORS as exc:  # stays in the row
                     rows.append({"k": k, "m": m, "lower": "", "upper": "",
                                  "exact": "", "reason": "", "error": str(exc)})
     elif args.what == "partition":
@@ -265,7 +278,7 @@ def cmd_sweep(args) -> int:
                                  "part_count": plan.part_count,
                                  "gamma": plan.gamma, "verified": True,
                                  "error": ""})
-                except Exception as exc:
+                except PRECONDITION_ERRORS as exc:
                     rows.append({"k": k, "m": m, "regime": "", "part_count": "",
                                  "gamma": "", "verified": False,
                                  "error": str(exc)})
@@ -278,7 +291,7 @@ def cmd_sweep(args) -> int:
                     rows.append({"k": row.k, "r": row.r,
                                  "strict_lower": row.strict_lower,
                                  "provenance": row.provenance, "error": ""})
-                except Exception as exc:
+                except PRECONDITION_ERRORS as exc:
                     rows.append({"k": k, "r": "", "strict_lower": "",
                                  "provenance": f"m={m}", "error": str(exc)})
     else:  # pragma: no cover - argparse restricts choices
@@ -465,7 +478,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidArgumentError, BudgetExceededError, FileNotFoundError) as exc:
+    except (*PRECONDITION_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInconsistencyError as exc:

@@ -91,21 +91,6 @@ class WcBoundRow:
         return cls(d["k"], d["r"], d["strict_lower"], d["provenance"])
 
 
-def cyclic_difference(a: int, b: int, modulus: int) -> int:
-    """(x - y) mod N for the sorted pair x < y of the two residues."""
-    _require(0 <= a < modulus and 0 <= b < modulus, "residues must lie in 0..N-1")
-    x, y = min(a, b), max(a, b)
-    return (x - y) % modulus
-
-
-def cycles(ordered: tuple[int, ...], modulus: int) -> bool:
-    """True iff sorting the generation-ordered progression permutes it."""
-    seq = list(ordered)
-    _require(len(set(seq)) == len(seq), "elements must be distinct")
-    _require(all(0 <= x < modulus for x in seq), "residues must lie in 0..N-1")
-    return seq != sorted(seq)
-
-
 def split_alternating(values, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Chunk the ascending values into consecutive segments of floor(k/2)
     elements and deal the segments alternately, first segment first."""
@@ -167,22 +152,23 @@ def build_partition(m: int, k: int) -> PartitionPlan:
     return plan
 
 
-def verify_partition(plan: PartitionPlan) -> PartitionViolation | None:
-    """First progression-containing part of the plan, or None if all are free.
+def find_violation(modulus: int, k: int, parts) -> PartitionViolation | None:
+    """First (label, residues) part containing a k-term progression mod N,
+    or None if every part is progression-free."""
+    for label, elems in parts:
+        hit = find_contained_progression(elems, modulus, k)
+        if hit is not None:
+            return PartitionViolation(label, hit.elements)
+    return None
 
-    Parts with fewer than k elements are trivially free and skipped.
-    """
+
+def verify_partition(plan: PartitionPlan) -> PartitionViolation | None:
+    """First progression-containing part of the plan, or None if all are free."""
     n = plan.modulus
     total = [x for _, elems in plan.parts for x in elems]
     if len(total) != n or set(total) != set(range(n)):
         raise InvalidArgumentError("parts do not partition Z_mk")
-    for label, elems in plan.parts:
-        if len(elems) < plan.k:
-            continue
-        hit = find_contained_progression(elems, n, plan.k)
-        if hit is not None:
-            return PartitionViolation(label, hit.elements)
-    return None
+    return find_violation(n, plan.k, plan.parts)
 
 
 def wc_lower_bounds(k: int, m_max: int) -> list[WcBoundRow]:
@@ -190,17 +176,7 @@ def wc_lower_bounds(k: int, m_max: int) -> list[WcBoundRow]:
     (k, 2, k(k-1)), (k, 3, k^2), and (k, 3+gamma, mk) for each k < m <= m_max."""
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(m_max >= k, f"m_max must be >= k, got {m_max}")
-    rows = []
-    build_partition(k - 1, k)
-    rows.append(WcBoundRow(k, 2, k * (k - 1), PROV_TWO_COLORS))
-    build_partition(k, k)
-    rows.append(WcBoundRow(k, 3, k * k, PROV_THREE_COLORS))
-    for m in range(k + 1, m_max + 1):
-        plan = build_partition(m, k)
-        rows.append(
-            WcBoundRow(k, 3 + plan.gamma, m * k, PROV_THREE_PLUS_GAMMA)
-        )
-    return rows
+    return [wc_bound_for(m, k) for m in range(k - 1, m_max + 1)]
 
 
 def wc_bound_for(m: int, k: int) -> WcBoundRow:

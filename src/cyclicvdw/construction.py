@@ -86,12 +86,6 @@ class BoundsReport:
 
 
 @dataclass(frozen=True)
-class ExactnessVerdict:
-    is_exact_at_upper: bool
-    reason: str
-
-
-@dataclass(frozen=True)
 class ProgressionClassWitness:
     """Why a given progression A must meet F: its congruence class beta mod d,
     the lattice S of residues = -alpha mod k, the run of d cyclically
@@ -157,15 +151,6 @@ def theorem_bounds(m: int, k: int) -> BoundsReport:
     if closed_diffs(m, k) == (1,):
         return BoundsReport(m, k, lower, upper, upper, EXACT_BY_SINGLETON)
     return BoundsReport(m, k, lower, upper)
-
-
-def exactness_test(m: int, k: int) -> ExactnessVerdict:
-    """Whether b(mk, k) attains the mk - m upper bound, i.e. D(mk, k) = {1}."""
-    _require(m >= 1, f"m must be positive, got {m}")
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    if closed_diffs(m, k) == (1,):
-        return ExactnessVerdict(True, "every divisor of k above 1 exceeds m")
-    return ExactnessVerdict(False, "|D(mk,k)| > 1, so b(mk,k) < mk - m")
 
 
 def witness_class(m: int, k: int, a: CyclicProgression) -> ProgressionClassWitness:

@@ -30,18 +30,6 @@ def _require(cond: bool, msg: str) -> None:
 
 
 @dataclass(frozen=True)
-class RingParams:
-    """A modulus N together with a progression length k."""
-
-    modulus: int
-    length: int
-
-    def __post_init__(self):
-        _require(self.modulus >= 1, f"modulus must be positive, got {self.modulus}")
-        _require(self.length >= 3, f"length must be >= 3, got {self.length}")
-
-
-@dataclass(frozen=True)
 class CyclicProgression:
     """A k-element residue set mod N realized as an arithmetic progression.
 
@@ -133,26 +121,6 @@ def make_progression(modulus: int, base: int, diff: int, k: int) -> CyclicProgre
     return CyclicProgression(modulus, tuple(sorted(seen)), base, diff)
 
 
-def generating_pairs(p: CyclicProgression) -> set[tuple[int, int]]:
-    """All (base, diff) pairs with diff in 1..N-1 generating p's element set."""
-    n = p.modulus
-    k = len(p.elements)
-    target = set(p.elements)
-    pairs = set()
-    for d in range(1, n):
-        for t in p.elements:
-            elems = {(t + i * d) % n for i in range(k)}
-            if len(elems) == k and elems == target:
-                pairs.add((t, d))
-    return pairs
-
-
-def canonical_difference(p: CyclicProgression) -> int:
-    """The common difference of p: the smallest generating d with 0 < d < N/2."""
-    cands = [d for _, d in generating_pairs(p) if 2 * d < p.modulus]
-    return min(cands)
-
-
 def enumerate_progressions(
     modulus: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[CyclicProgression]:
@@ -180,13 +148,19 @@ def enumerate_progressions(
     ]
 
 
+def edge_masks(modulus: int, k: int) -> list[int]:
+    """Bitmasks (bit v for residue v) of enumerate_progressions(N, k), in order."""
+    return [sum(1 << v for v in p.elements) for p in enumerate_progressions(modulus, k)]
+
+
 def find_contained_progression(
     residues, modulus: int, k: int
 ) -> CyclicProgression | None:
     """Some k-term progression mod N lying entirely inside the given set, or None.
 
-    Equivalent to scanning enumerate_progressions(N, k) but iterates (d, t)
-    directly over canonical differences; the first hit in (d, t) order wins.
+    For each canonical difference d, bit t of the set mask ANDed with its
+    rotations by d, 2d, ..., (k-1)d marks the bases t whose progression lies
+    inside; the first hit in (d, t) order wins.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     s = set(residues)
@@ -194,32 +168,19 @@ def find_contained_progression(
         all(0 <= x < modulus for x in s),
         f"residues must lie in 0..{modulus - 1}",
     )
-    if k > modulus:
+    if k > modulus or len(s) < k:
         return None
-    if len(s) < k:
-        return None
-    if len(s) * 2 >= modulus:
-        # Dense set: mark the bases whose progression meets the complement.
-        complement = [x for x in range(modulus) if x not in s]
-        for d in canonical_diffs(modulus, k):
-            bad = bytearray(modulus)
-            for x in complement:
-                for i in range(k):
-                    bad[(x - i * d) % modulus] = 1
-            for t in range(modulus):
-                if not bad[t]:
-                    return make_progression(modulus, t, d, k)
-        return None
-    ordered = sorted(s)
+    mask = sum(1 << x for x in s)
     for d in canonical_diffs(modulus, k):
-        for t in ordered:
-            x = t
-            for _ in range(k):
-                if x not in s:
-                    break
-                x = (x + d) % modulus
-            else:
-                return make_progression(modulus, t, d, k)
+        hits = mask
+        for i in range(1, k):
+            shift = i * d % modulus
+            # Bit t of the rotation is bit t + shift (mod N) of the set.
+            hits &= (mask >> shift) | (mask << (modulus - shift))
+            if not hits:
+                break
+        else:
+            return make_progression(modulus, (hits & -hits).bit_length() - 1, d, k)
     return None
 
 

@@ -10,15 +10,12 @@ bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .coloring import find_violation
 from .construction import build_avoiding
-from .progressions import (
-    _require,
-    enumerate_progressions,
-    find_contained_progression,
-)
 from .errors import InternalInconsistencyError
+from .progressions import _require, edge_masks
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
@@ -37,16 +34,6 @@ class SearchBudget:
     def __post_init__(self):
         _require(self.max_nodes > 0, "max_nodes must be positive")
         _require(self.max_seconds > 0, "max_seconds must be positive")
-
-
-@dataclass(frozen=True)
-class HypergraphView:
-    """Vertices Z_N, edges the k-term cyclic progressions mod N."""
-
-    modulus: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-    incidence: dict[int, tuple[int, ...]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,28 +95,15 @@ class ColorabilityOutcome:
     coloring: tuple[int, ...] | None
 
 
-def build_hypergraph(modulus: int, k: int) -> HypergraphView:
-    """Deduplicated, sorted edge list plus the vertex -> edge-index incidence map."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    edges = tuple(p.elements for p in enumerate_progressions(modulus, k))
-    incidence: dict[int, list[int]] = {v: [] for v in range(modulus)}
-    for idx, e in enumerate(edges):
-        for v in e:
-            incidence[v].append(idx)
-    return HypergraphView(
-        modulus, k, edges, {v: tuple(ix) for v, ix in incidence.items()}
-    )
-
-
 class _Abort(Exception):
     pass
 
 
-def _greedy_independent(n: int, edge_masks: list[int]) -> int:
+def _greedy_independent(n: int, edges: list[int]) -> int:
     inc = 0
     for v in range(n):
         cand = inc | (1 << v)
-        if not any(e & cand == e for e in edge_masks):
+        if not any(e & cand == e for e in edges):
             inc = cand
     return inc
 
@@ -154,14 +128,8 @@ def independence_number(
         return IndependenceResult(
             n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
         )
-    edge_masks = []
-    for p in enumerate_progressions(n, k):
-        mask = 0
-        for v in p.elements:
-            mask |= 1 << v
-        edge_masks.append(mask)
-
-    best_mask = _greedy_independent(n, edge_masks)
+    edges = edge_masks(n, k)
+    best_mask = _greedy_independent(n, edges)
     if n % k == 0:
         avoiding = build_avoiding(n // k, k)
         if len(avoiding) > bin(best_mask).count("1"):
@@ -207,10 +175,10 @@ def independence_number(
             rec(idx + 1, inc_mask | bit, inc_count + 1, alive)
         rec(idx + 1, inc_mask, inc_count, [e for e in alive if not (e & bit)])
 
-    if edge_masks:
+    if edges:
         # Fix 0 out of the independent set; some maximum set excludes a vertex
         # and every translate of an independent set is independent.
-        rec(1, 0, 0, [e for e in edge_masks if not (e & 1)])
+        rec(1, 0, 0, [e for e in edges if not (e & 1)])
     else:
         best, best_mask = n, (1 << n) - 1
 
@@ -233,13 +201,15 @@ def is_r_colorable(
     _require(r >= 1, f"r must be positive, got {r}")
     budget = budget or SearchBudget()
     n = modulus
-    edges = [p.elements for p in enumerate_progressions(n, k)]
-    if not edges:
+    # below[v]: each edge whose top vertex is v, minus that vertex.
+    below: list[list[int]] = [[] for _ in range(n)]
+    for e in edge_masks(n, k):
+        top = e.bit_length() - 1
+        below[top].append(e ^ (1 << top))
+    if not any(below):
         return ColorabilityOutcome(COLORABLE, tuple([0] * n))
-    by_top: dict[int, list[tuple[int, ...]]] = {}
-    for e in edges:
-        by_top.setdefault(e[-1], []).append(e)
     color = [-1] * n
+    classes = [0] * r
     deadline = time.monotonic() + budget.max_seconds
     nodes = 0
 
@@ -253,16 +223,15 @@ def is_r_colorable(
         if v == n:
             return True
         for c in range(min(used + 1, r)):
-            ok = True
-            for e in by_top.get(v, ()):
-                if all(color[u] == c for u in e[:-1]):
-                    ok = False
-                    break
-            if ok:
-                color[v] = c
-                if rec(v + 1, max(used, c + 1)):
-                    return True
-                color[v] = -1
+            cls = classes[c]
+            if any(rest & cls == rest for rest in below[v]):
+                continue
+            color[v] = c
+            classes[c] = cls | (1 << v)
+            if rec(v + 1, max(used, c + 1)):
+                return True
+            classes[c] = cls
+            color[v] = -1
         return False
 
     try:
@@ -271,21 +240,14 @@ def is_r_colorable(
         return ColorabilityOutcome(INDETERMINATE, None)
     if not found:
         return ColorabilityOutcome(REFUTED, None)
-    result = tuple(color)
-    verify_coloring(n, k, result)
-    return ColorabilityOutcome(COLORABLE, result)
-
-
-def verify_coloring(modulus: int, k: int, coloring: tuple[int, ...]) -> None:
-    """Independent check that no color class contains a k-term progression."""
-    for c in sorted(set(coloring)):
-        cls = [v for v in range(modulus) if coloring[v] == c]
-        if len(cls) >= k:
-            hit = find_contained_progression(cls, modulus, k)
-            if hit is not None:
-                raise InternalInconsistencyError(
-                    f"color class {c} contains progression {hit.elements}"
-                )
+    parts = [(c, [v for v in range(n) if color[v] == c]) for c in range(r)]
+    violation = find_violation(n, k, parts)
+    if violation is not None:
+        raise InternalInconsistencyError(
+            f"color class {violation.part_label} contains progression "
+            f"{violation.witness}"
+        )
+    return ColorabilityOutcome(COLORABLE, tuple(color))
 
 
 def chromatic_number(

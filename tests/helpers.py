@@ -27,18 +27,6 @@ def brute_progression_sets(n, k):
     return sets
 
 
-def brute_generating_pairs(n, target):
-    k = len(target)
-    target = set(target)
-    pairs = set()
-    for d in range(1, n):
-        for t in range(n):
-            elems = {(t + i * d) % n for i in range(k)}
-            if len(elems) == k and elems == target:
-                pairs.add((t, d))
-    return pairs
-
-
 def brute_difference_set(n, k):
     return sorted({gcd(d, k) for d in brute_canonical_diffs(n, k)})
 

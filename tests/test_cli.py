@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cyclicvdw import InvalidArgumentError, ResultsCache
+from cyclicvdw import InternalInconsistencyError, InvalidArgumentError, ResultsCache
+from cyclicvdw import coloring
 from cyclicvdw.cli import main, parse_range
 from cyclicvdw.serialize import (
     parse_residues,
@@ -73,6 +74,23 @@ class TestResultsCache:
         cache = ResultsCache(tmp_path / "cache.jsonl")
         cache.put({"a": 1, "b": 2}, "exact", {})
         assert cache.get({"b": 2, "a": 1}) is not None
+
+    def test_torn_last_line_is_skipped_and_repaired(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        run(capsys, "exact", "--n", "9", "--k", "3", "--what", "b",
+            "--cache", str(path))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": {"op": "exact", "n"')
+        code, out, err = run(capsys, "exact", "--n", "12", "--k", "4",
+                             "--what", "b", "--cache", str(path))
+        assert code == 0 and out.startswith("b(12,4) = 7 (exact)")
+        assert err.splitlines() == [
+            f"warning: skipped 1 unreadable line(s) in cache {path}"
+        ]
+        reloaded = ResultsCache(path)
+        assert reloaded.corrupt_lines == 1
+        assert reloaded.get({"op": "exact", "n": 12, "k": 4, "what": "b"})
+        assert reloaded.get({"op": "exact", "n": 9, "k": 3, "what": "b"})
 
 
 class TestDiffsCommand:
@@ -215,6 +233,15 @@ class TestSweepCommand:
         assert lines[2].startswith("3,3,9,")
         assert lines[3].startswith("3,5,12,")
 
+    def test_internal_failure_exits_three(self, capsys, monkeypatch):
+        def broken(m, k):
+            raise InternalInconsistencyError("part B contains a progression")
+
+        monkeypatch.setattr(coloring, "build_partition", broken)
+        code, _, err = run(capsys, "sweep", "--k", "3", "--m", "1..2",
+                           "--what", "partition")
+        assert code == 3 and err.startswith("internal verification failure:")
+
     def test_rejects_small_k(self, capsys):
         code, _, err = run(capsys, "sweep", "--k", "2..3", "--m", "1",
                            "--what", "bounds")
@@ -272,6 +299,11 @@ class TestVerifyFileCommand:
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-file", str(tmp_path / "nope.txt"),
+                           "--n", "12", "--k", "3")
+        assert code == 2 and err.startswith("error:")
+
+    def test_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify-file", str(tmp_path),
                            "--n", "12", "--k", "3")
         assert code == 2 and err.startswith("error:")
 

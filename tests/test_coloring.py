@@ -5,9 +5,6 @@ from cyclicvdw import (
     PartitionPlan,
     build_forbidden,
     build_partition,
-    cycles,
-    cyclic_difference,
-    make_progression,
     split_alternating,
     verify_partition,
     wc_lower_bounds,
@@ -24,35 +21,6 @@ from cyclicvdw.coloring import (
 )
 
 import helpers
-
-
-class TestCyclicDifference:
-    @pytest.mark.parametrize("a,b,n,expected", [
-        (2, 7, 8, 3),
-        (7, 2, 8, 3),
-        (0, 1, 12, 11),
-        (5, 5, 9, 0),
-    ])
-    def test_examples(self, a, b, n, expected):
-        assert cyclic_difference(a, b, n) == expected
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            cyclic_difference(0, 12, 12)
-
-
-class TestCycles:
-    def test_wrapping_progression(self):
-        p = make_progression(12, 10, 3, 4)
-        assert cycles((10, 1, 4, 7), 12)
-        assert p.elements == (1, 4, 7, 10)
-
-    def test_non_wrapping(self):
-        assert not cycles((2, 4, 6, 8), 12)
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(InvalidArgumentError):
-            cycles((1, 1, 2), 9)
 
 
 class TestSplitAlternating:

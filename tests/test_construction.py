@@ -4,7 +4,6 @@ from cyclicvdw import (
     InvalidArgumentError,
     build_avoiding,
     build_forbidden,
-    exactness_test,
     find_contained_progression,
     forbidden_size_formula,
     make_progression,
@@ -132,14 +131,14 @@ class TestTheoremBounds:
 
 class TestExactness:
     def test_examples(self):
-        assert exactness_test(2, 5).is_exact_at_upper
-        assert not exactness_test(3, 4).is_exact_at_upper
-        assert not exactness_test(9, 9).is_exact_at_upper
+        assert theorem_bounds(2, 5).exact == 8
+        assert theorem_bounds(3, 4).exact is None
+        assert theorem_bounds(9, 9).exact is None
 
     def test_m_at_least_k_never_exact(self):
         for k in range(3, 12):
             for m in range(k, 2 * k):
-                assert not exactness_test(m, k).is_exact_at_upper
+                assert theorem_bounds(m, k).exact is None
 
 
 class TestWitnessClass:

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclicvdw import (
@@ -12,14 +14,13 @@ from cyclicvdw import (
     difference_gcd_set,
     enumerate_progressions,
     find_contained_progression,
-    generating_pairs,
     make_progression,
     subgroup_order,
 )
 from cyclicvdw.progressions import (
     METHOD_BRUTE_FORCE,
     METHOD_CLOSED_FORM,
-    canonical_difference,
+    edge_masks,
 )
 
 import helpers
@@ -94,39 +95,6 @@ class TestMakeProgression:
         assert exc.value.distinct == 3
 
 
-class TestGeneratingPairs:
-    def test_five_term_example(self):
-        p = make_progression(12, 2, 2, 5)
-        assert generating_pairs(p) == {(2, 2), (10, 10)}
-
-    def test_consecutive_triple(self):
-        p = make_progression(9, 0, 1, 3)
-        assert generating_pairs(p) == {(0, 1), (2, 8)}
-
-    def test_six_term_even_set(self):
-        # Bases are all six elements; only 2 and 10 generate six distinct
-        # values (d = 4 or 8 lands in the order-3 subgroup, so the generated
-        # set collapses to three elements).
-        p = make_progression(12, 0, 2, 6)
-        assert generating_pairs(p) == {
-            (t, d) for t in (0, 2, 4, 6, 8, 10) for d in (2, 10)
-        }
-
-    @given(st.integers(3, 8).flatmap(
-        lambda k: st.tuples(st.just(k), st.integers(k, 18))))
-    @settings(max_examples=30)
-    def test_matches_brute_force(self, kn):
-        k, n = kn
-        for p in enumerate_progressions(n, k)[:5]:
-            assert generating_pairs(p) == helpers.brute_generating_pairs(
-                n, p.elements
-            )
-
-    def test_canonical_difference_is_witnessed_by_enumeration(self):
-        for p in enumerate_progressions(15, 4):
-            assert canonical_difference(p) == p.witnessed_diff
-
-
 class TestEnumerateProgressions:
     def test_full_ring_collapses_to_one(self):
         progs = enumerate_progressions(9, 9)
@@ -150,8 +118,12 @@ class TestEnumerateProgressions:
     @pytest.mark.parametrize("n", range(3, 31))
     def test_dedupe_matches_brute_force(self, n):
         for k in range(3, n + 1):
-            ours = {frozenset(p.elements) for p in enumerate_progressions(n, k)}
+            progs = enumerate_progressions(n, k)
+            ours = {frozenset(p.elements) for p in progs}
             assert ours == helpers.brute_progression_sets(n, k)
+            masks = edge_masks(n, k)
+            assert masks == [sum(1 << v for v in p.elements) for p in progs]
+            assert set(masks) == set(helpers.edge_masks(n, k))
 
     def test_single_congruence_class_for_dividing_diffs(self):
         # Progressions whose difference divides N stay in one class mod d.
@@ -203,6 +175,33 @@ class TestFindContainedProgression:
             assert (got is not None) == helpers.contains_progression(s, n, k)
             if got is not None:
                 assert set(got.elements) <= s
+
+    def test_witness_is_first_hit_in_d_then_t_order(self):
+        rng = random.Random(20250907)
+        for _ in range(3000):
+            n = rng.randint(3, 30)
+            k = rng.randint(3, n)
+            density = rng.random()
+            s = {x for x in range(n) if rng.random() < density}
+            expected = None
+            for d in helpers.brute_canonical_diffs(n, k):
+                expected = next(
+                    ((t, d) for t in range(n)
+                     if all((t + i * d) % n in s for i in range(k))),
+                    None,
+                )
+                if expected is not None:
+                    break
+            got = find_contained_progression(s, n, k)
+            if expected is None:
+                assert got is None, (n, k, sorted(s))
+            else:
+                assert got is not None, (n, k, sorted(s))
+                assert (got.witnessed_base, got.witnessed_diff) == expected
+                t, d = expected
+                assert got.elements == tuple(
+                    sorted((t + i * d) % n for i in range(k))
+                )
 
 
 class TestDifferenceGcdSet:

@@ -4,46 +4,27 @@ from cyclicvdw import (
     InternalInconsistencyError,
     InvalidArgumentError,
     SearchBudget,
-    build_hypergraph,
     chromatic_number,
     independence_number,
     is_r_colorable,
     theorem_bounds,
 )
+from cyclicvdw import search
 from cyclicvdw.search import (
     COLORABLE,
     INDETERMINATE,
     REFUTED,
     STATUS_EXACT,
     STATUS_LOWER_BOUND_ONLY,
-    verify_coloring,
 )
 
 import helpers
 
 
-class TestBuildHypergraph:
-    def test_edge_sets_match_brute_force(self):
-        for n in range(3, 21):
-            for k in (3, 4, 5):
-                if k > n:
-                    continue
-                hg = build_hypergraph(n, k)
-                assert {frozenset(e) for e in hg.edges} == \
-                    helpers.brute_progression_sets(n, k)
-
-    def test_incidence_is_consistent(self):
-        hg = build_hypergraph(12, 4)
-        for v, idxs in hg.incidence.items():
-            for i in idxs:
-                assert v in hg.edges[i]
-        for i, e in enumerate(hg.edges):
-            for v in e:
-                assert i in hg.incidence[v]
-
-    def test_rejects_small_k(self):
-        with pytest.raises(InvalidArgumentError):
-            build_hypergraph(9, 2)
+def assert_proper(n, k, coloring):
+    for c in set(coloring):
+        cls = [v for v in range(n) if coloring[v] == c]
+        assert not helpers.contains_progression(cls, n, k), (n, k, c)
 
 
 class TestIndependenceNumber:
@@ -134,7 +115,7 @@ class TestColorability:
     def test_two_colors_suffice_for_twelve_four(self):
         out = is_r_colorable(12, 4, 2)
         assert out.status == COLORABLE
-        verify_coloring(12, 4, out.coloring)
+        assert_proper(12, 4, out.coloring)
 
     def test_budget_kill_is_indeterminate(self):
         out = is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
@@ -146,9 +127,12 @@ class TestColorability:
         assert out.status == COLORABLE
         assert out.coloring == (0, 0, 0, 0)
 
-    def test_verify_coloring_rejects_monochromatic_progression(self):
+    def test_coloring_from_missing_edges_is_caught(self, monkeypatch):
+        # A search that sees only the edge {0,1,2} returns a 2-coloring with
+        # {3,4,5} monochromatic; the class check must refuse to hand it back.
+        monkeypatch.setattr(search, "edge_masks", lambda n, k: [0b111])
         with pytest.raises(InternalInconsistencyError):
-            verify_coloring(9, 3, tuple([0] * 9))
+            is_r_colorable(9, 3, 2)
 
 
 class TestChromaticNumber:
@@ -165,7 +149,7 @@ class TestChromaticNumber:
     def test_coloring_is_proper_and_uses_value_colors(self):
         res = chromatic_number(12, 3)
         assert len(set(res.coloring)) == res.value
-        verify_coloring(12, 3, res.coloring)
+        assert_proper(12, 3, res.coloring)
 
     def test_matches_refutation_boundary(self):
         res = chromatic_number(9, 3)
