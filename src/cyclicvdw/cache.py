@@ -45,7 +45,8 @@ class ResultsCache:
     def __init__(self, path):
         self.path = Path(path)
         self._records: dict[str, CacheRecord] = {}
-        # Lines that do not parse as a record, e.g. one torn by a killed writer.
+        # Lines that are not a record (a JSON object whose key and value are
+        # objects and whose status is a string), e.g. one torn by a killed writer.
         self.corrupt_lines = 0
         if self.path.exists():
             with self.path.open(encoding="utf-8", errors="replace") as fh:
@@ -58,7 +59,12 @@ class ResultsCache:
                             d["key"], d["status"], d["value"],
                             d.get("tool_version", ""), d.get("timestamp", 0.0),
                         )
-                    except (ValueError, KeyError, TypeError):
+                        ok = (isinstance(rec.key, dict)
+                              and isinstance(rec.value, dict)
+                              and isinstance(rec.status, str))
+                    except (ValueError, KeyError, TypeError, RecursionError):
+                        ok = False
+                    if not ok:
                         self.corrupt_lines += 1
                         continue
                     self._admit(rec)

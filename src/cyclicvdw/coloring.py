@@ -55,13 +55,6 @@ class PartitionPlan:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionPlan":
-        parts = tuple(
-            (p["label"], tuple(p["elements"])) for p in d["parts"]
-        )
-        return cls(d["m"], d["k"], d["regime"], parts, d["gamma"])
-
 
 @dataclass(frozen=True)
 class PartitionViolation:
@@ -85,10 +78,6 @@ class WcBoundRow:
             "strict_lower": self.strict_lower,
             "provenance": self.provenance,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WcBoundRow":
-        return cls(d["k"], d["r"], d["strict_lower"], d["provenance"])
 
 
 def split_alternating(values, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

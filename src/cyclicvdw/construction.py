@@ -49,13 +49,6 @@ class ForbiddenSet:
             d[f"F_{i}"] = list(block)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForbiddenSet":
-        blocks = tuple(
-            tuple(d[f"F_{i}"]) for i in range(len(d["diffs"]))
-        )
-        return cls(d["m"], d["k"], tuple(d["diffs"]), blocks, tuple(d["union"]))
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -77,12 +70,6 @@ class BoundsReport:
             "exact": self.exact,
             "exactness_reason": self.exactness_reason,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundsReport":
-        return cls(
-            d["m"], d["k"], d["lower"], d["upper"], d["exact"], d["exactness_reason"]
-        )
 
 
 @dataclass(frozen=True)

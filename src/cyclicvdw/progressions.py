@@ -54,10 +54,6 @@ class CyclicProgression:
             "diff": self.witnessed_diff,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CyclicProgression":
-        return cls(d["modulus"], tuple(d["elements"]), d["base"], d["diff"])
-
 
 @dataclass(frozen=True)
 class DifferenceSet:
@@ -75,10 +71,6 @@ class DifferenceSet:
             "values": list(self.values),
             "method": self.method,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DifferenceSet":
-        return cls(d["modulus"], d["length"], tuple(d["values"]), d["method"])
 
 
 def subgroup_order(modulus: int, d: int) -> int:
@@ -233,13 +225,6 @@ class ConjectureReport:
             "brute_force": list(self.brute_force),
             "agrees": self.agrees,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConjectureReport":
-        return cls(
-            d["m"], d["n"], d["k"],
-            tuple(d["conjectured"]), tuple(d["brute_force"]), d["agrees"],
-        )
 
 
 def check_conjecture(m: int, n: int, k: int, cap: int = 2000) -> ConjectureReport:

@@ -57,13 +57,6 @@ class IndependenceResult:
             "elapsed": self.elapsed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IndependenceResult":
-        return cls(
-            d["modulus"], d["k"], d["value"], tuple(d["witness"]),
-            d["status"], d["nodes_explored"], d["elapsed"],
-        )
-
 
 @dataclass(frozen=True)
 class ColoringResult:
@@ -81,10 +74,6 @@ class ColoringResult:
             "coloring": list(self.coloring),
             "status": self.status,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ColoringResult":
-        return cls(d["modulus"], d["k"], d["value"], tuple(d["coloring"]), d["status"])
 
 
 @dataclass(frozen=True)
@@ -198,6 +187,7 @@ def is_r_colorable(
     back; a budget kill yields INDETERMINATE, never a refutation.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
+    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     _require(r >= 1, f"r must be positive, got {r}")
     budget = budget or SearchBudget()
     n = modulus
@@ -258,6 +248,7 @@ def chromatic_number(
     Exact only when every smaller r was refuted rather than budget-killed.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
+    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     all_refuted = True
     for r in range(1, modulus + 1):
         out = is_r_colorable(modulus, k, r, budget)

@@ -1,5 +1,4 @@
-"""Shared wire formats: residue sets as ascending comma-separated integers,
-or as JSON objects carrying the modulus alongside the element array."""
+"""Shared wire format: residue sets as ascending comma-separated integers."""
 
 from __future__ import annotations
 
@@ -29,17 +28,15 @@ def parse_residues(text: str) -> tuple[int, ...]:
     return values
 
 
-def residue_set_json(modulus: int, residues) -> dict:
-    return {"modulus": modulus, "elements": sorted(residues)}
-
-
 def read_residue_file(path) -> list[tuple[int, ...]]:
     """One residue set per line, `#` comments and blank lines skipped."""
     sets = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            sets.append(parse_residues(line))
+        try:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    sets.append(parse_residues(line))
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path} is not UTF-8 text: {exc}") from None
     return sets

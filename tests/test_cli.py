@@ -1,14 +1,18 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclicvdw import InternalInconsistencyError, InvalidArgumentError, ResultsCache
-from cyclicvdw import coloring
+from cyclicvdw import coloring, construction
 from cyclicvdw.cli import main, parse_range
 from cyclicvdw.serialize import (
     parse_residues,
     read_residue_file,
-    residue_set_json,
     residues_to_text,
 )
 
@@ -17,6 +21,107 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+RESIDUE_FILE = "# trial sets mod 12\n0,1,2,4,5,8,9\n0,3,6,9\n"
+
+# The full stdout of small commands in each format.  A json entry is the
+# document; the command must print exactly json.dumps(doc, indent=2,
+# sort_keys=True) and a newline.  SETS stands for a file holding RESIDUE_FILE.
+GOLDEN = [
+    pytest.param(("diffs", "--n", "12", "--k", "4", "--method", "both"), {
+        "json": {"agrees": True, "brute_force": [1, 2], "closed_form": [1, 2],
+                 "length": 4, "modulus": 12},
+        "csv": "modulus,k,method,values\n"
+               "12,4,closed_form,1;2\n"
+               "12,4,brute_force,1;2\n",
+        "text": "{1,2} agree=true\n",
+    }, id="diffs-both"),
+    pytest.param(("construct", "--m", "3", "--k", "4"), {
+        "json": {"F_0": [3, 7, 11], "F_1": [6, 10],
+                 "bounds": {"exact": None, "exactness_reason": "none", "k": 4,
+                            "lower": 7, "m": 3, "upper": 9},
+                 "diffs": [1, 2], "k": 4, "m": 3, "modulus": 12,
+                 "union": [3, 6, 7, 10, 11]},
+        "csv": "m,k,modulus,size,lower,upper,union\n"
+               "3,4,12,5,7,9,3;6;7;10;11\n",
+        "text": "F = 3,6,7,10,11\n"
+                "F_0 = 3,7,11\n"
+                "F_1 = 6,10\n"
+                "|F| = 5\n"
+                "bounds: 7 <= b(12,4) <= 9\n",
+    }, id="construct"),
+    pytest.param(("exact", "--n", "9", "--k", "3", "--what", "chi"), {
+        "json": {"coloring": [0, 0, 1, 0, 0, 1, 1, 2, 2], "k": 3, "modulus": 9,
+                 "status": "exact", "value": 3},
+        "csv": "what,modulus,k,value,status\n"
+               "chi,9,3,3,exact\n",
+        "text": "chi(9,3) = 3 (exact)\n",
+    }, id="exact-chi"),
+    pytest.param(("partition", "--m", "3", "--k", "3"), {
+        "json": {"gamma": 0, "k": 3, "m": 3, "modulus": 9, "regime": "k_eq_m",
+                 "parts": [{"elements": [0, 1, 3, 4], "label": "B"},
+                           {"elements": [2, 6, 8], "label": "F'"},
+                           {"elements": [5, 7], "label": "F''"}]},
+        "csv": "m,k,label,elements\n"
+               "3,3,B,0;1;3;4\n"
+               "3,3,F',2;6;8\n"
+               "3,3,F'',5;7\n",
+        "text": "regime: k_eq_m  parts: 3\n"
+                "B = 0,1,3,4\n"
+                "F' = 2,6,8\n"
+                "F'' = 5,7\n",
+    }, id="partition"),
+    pytest.param(("sweep", "--k", "3", "--m", "0..2", "--what", "wc"), {
+        "json": [
+            {"error": "m must be positive, got 0", "k": 3, "provenance": "m=0",
+             "r": "", "strict_lower": ""},
+            {"error": "", "k": 3, "provenance": "chi(mk,k)=2 for k>m", "r": 2,
+             "strict_lower": 3},
+            {"error": "", "k": 3, "provenance": "chi(mk,k)=2 for k>m", "r": 2,
+             "strict_lower": 6},
+        ],
+        "csv": "k,r,strict_lower,provenance,error\n"
+               '3,,,m=0,"m must be positive, got 0"\n'
+               '3,2,3,"chi(mk,k)=2 for k>m",\n'
+               '3,2,6,"chi(mk,k)=2 for k>m",\n',
+        "text": "k=3  provenance=m=0  error=m must be positive, got 0\n"
+                "k=3  r=2  strict_lower=3  provenance=chi(mk,k)=2 for k>m\n"
+                "k=3  r=2  strict_lower=6  provenance=chi(mk,k)=2 for k>m\n",
+    }, id="sweep-wc"),
+    pytest.param(("conjecture", "--m", "5", "--n", "2", "--k", "3"), {
+        "json": {"rows": [{"brute_force": "1;2", "conjectured": "1;2;3", "k": 3,
+                           "m": 5, "n": 2, "status": "disagree",
+                           "witness": "3"}],
+                 "summary": {"disagree": 1}},
+        "csv": "k,m,n,status,conjectured,brute_force,witness\n"
+               "3,5,2,disagree,1;2;3,1;2,3\n",
+        "text": "k=3 m=5 n=2: disagree conjectured={1;2;3} brute={1;2} "
+                "differing_gcds={3}\n"
+                "summary: disagree=1\n",
+    }, id="conjecture"),
+    pytest.param(("verify-file", "SETS", "--n", "12", "--k", "4"), {
+        "json": [{"free": True, "set": 1, "size": 7, "witness": ""},
+                 {"free": False, "set": 2, "size": 4, "witness": "0;3;6;9"}],
+        "csv": "set,size,free,witness\n"
+               "1,7,True,\n"
+               "2,4,False,0;3;6;9\n",
+        "text": "set 1: ok (7 residues)\n"
+                "set 2: FAIL contains 0,3,6,9\n",
+    }, id="verify-file"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv,outputs", GOLDEN)
+def test_golden_output(capsys, tmp_path, argv, outputs, fmt):
+    sets = tmp_path / "sets.txt"
+    sets.write_text(RESIDUE_FILE)
+    argv = [str(sets) if a == "SETS" else a for a in argv]
+    want = outputs[fmt]
+    if fmt == "json":
+        want = json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert run(capsys, *argv, "--format", fmt) == (0, want, "")
 
 
 class TestParseRange:
@@ -42,15 +147,43 @@ class TestSerialize:
         with pytest.raises(InvalidArgumentError):
             parse_residues("-1,2")
 
-    def test_json_shape(self):
-        assert residue_set_json(12, (4, 0, 8)) == {
-            "modulus": 12, "elements": [0, 4, 8],
-        }
-
     def test_read_file_skips_comments(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("# header\n0,1,3\n\n2,5 # trailing\n")
         assert read_residue_file(path) == [(0, 1, 3), (2, 5)]
+
+    @given(st.text())
+    @example("1_0,2")
+    @example("9" * 5000)
+    def test_parse_residues_returns_or_rejects(self, text):
+        try:
+            values = parse_residues(text)
+        except InvalidArgumentError:
+            return
+        assert list(values) == sorted(set(values))
+        assert all(v >= 0 for v in values)
+
+    @settings(max_examples=50)
+    @given(st.binary())
+    @example(b"0,1,\xff\xfe")
+    @example(b"0,1\r2,3\x0b4")
+    def test_read_file_returns_or_rejects(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sets.txt"
+            path.write_bytes(data)
+            try:
+                sets = read_residue_file(path)
+            except InvalidArgumentError:
+                return
+        assert all(list(s) == sorted(set(s)) for s in sets)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestResultsCache:
@@ -91,6 +224,60 @@ class TestResultsCache:
         assert reloaded.corrupt_lines == 1
         assert reloaded.get({"op": "exact", "n": 12, "k": 4, "what": "b"})
         assert reloaded.get({"op": "exact", "n": 9, "k": 3, "what": "b"})
+
+    def test_unhashable_status_lines_are_skipped(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = {"op": "exact", "n": 9, "k": 3, "what": "b"}
+        line = json.dumps({"key": key, "status": [], "value": {"value": 1}})
+        path.write_text(line + "\n" + line + "\n")
+        code, out, err = run(capsys, "exact", "--n", "9", "--k", "3",
+                             "--what", "b", "--cache", str(path))
+        assert code == 0 and out.startswith("b(9,3) = 4 (exact)")
+        assert err.splitlines() == [
+            f"warning: skipped 2 unreadable line(s) in cache {path}"
+        ]
+
+    def test_non_object_value_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = {"op": "exact", "n": 9, "k": 3, "what": "b"}
+        path.write_text(json.dumps({"key": key, "status": "exact", "value": 5})
+                        + "\n")
+        warning = f"warning: skipped 1 unreadable line(s) in cache {path}"
+        code, out, err = run(capsys, "sweep", "--k", "3", "--m", "3",
+                             "--what", "bounds", "--cache", str(path),
+                             "--format", "csv")
+        assert code == 0 and "3,3,4,6,,none," in out.splitlines()
+        assert err.splitlines() == [warning]
+        code, out, err = run(capsys, "exact", "--n", "9", "--k", "3",
+                             "--what", "b", "--cache", str(path))
+        assert code == 0 and out.startswith("b(9,3) = 4 (exact)")
+        assert err.splitlines() == [warning]
+
+    @settings(max_examples=50)
+    @given(st.lists(st.binary() | st.fixed_dictionaries(
+        {"key": JSON_VALUES, "status": JSON_VALUES, "value": JSON_VALUES})))
+    @example([b"[" * 100_000])
+    def test_load_counts_every_unusable_line(self, items):
+        # Structured records have a known verdict; raw bytes may be anything.
+        data = b"\n".join(
+            json.dumps(item).encode() if isinstance(item, dict) else item
+            for item in items
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(data)
+            cache = ResultsCache(path)
+        lines = [line for line in io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="replace") if line.strip()]
+        assert 0 <= cache.corrupt_lines <= len(lines)
+        assert len(cache) <= len(lines) - cache.corrupt_lines
+        if all(isinstance(item, dict) for item in items):
+            assert cache.corrupt_lines == sum(
+                not (isinstance(item["key"], dict)
+                     and isinstance(item["value"], dict)
+                     and isinstance(item["status"], str))
+                for item in items
+            )
 
 
 class TestDiffsCommand:
@@ -135,6 +322,14 @@ class TestConstructCommand:
         assert payload["F_1"] == [42, 43]
         assert payload["bounds"]["upper"] == 42
 
+    def test_failed_verification_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(construction, "build_avoiding",
+                            lambda m, k: list(range(m * k)))
+        code, out, err = run(capsys, "construct", "--m", "3", "--k", "4",
+                             "--verify")
+        assert code == 3 and out == ""
+        assert err.startswith("internal verification failure:")
+
     def test_csv_row(self, capsys):
         code, out, _ = run(capsys, "construct", "--m", "3", "--k", "4",
                            "--format", "csv")
@@ -175,6 +370,25 @@ class TestExactCommand:
         assert first == second
         with open(cache) as fh:
             assert len(fh.readlines()) == 1
+
+    def test_bound_only_cache_record_is_recomputed(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("exact", "--n", "30", "--k", "3", "--what", "b", "--cache", cache)
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "10")
+        assert code == 0 and out.startswith("b(30,3) = 8 (lower_bound_only)")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("b(30,3) = 8 (exact)")
+        # The exact record now wins over any budget.
+        code, again, _ = run(capsys, *argv, "--budget-nodes", "10")
+        assert code == 0 and again == out
+        with open(cache) as fh:
+            assert len(fh.readlines()) == 2
+
+    def test_non_positive_modulus_is_a_usage_error(self, capsys):
+        for what in ("b", "chi"):
+            code, out, err = run(capsys, "exact", "--n", "-3", "--k", "3",
+                                 "--what", what)
+            assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestPartitionCommand:
@@ -306,6 +520,13 @@ class TestVerifyFileCommand:
         code, _, err = run(capsys, "verify-file", str(tmp_path),
                            "--n", "12", "--k", "3")
         assert code == 2 and err.startswith("error:")
+
+    def test_non_utf8_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_bytes(b"0,1,\xff\xfe")
+        code, out, err = run(capsys, "verify-file", str(path),
+                             "--n", "12", "--k", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestUsage:

@@ -93,10 +93,6 @@ class TestBuildPartition:
                 else:
                     assert plan.part_count == 3 + gamma_parts(m, k)
 
-    def test_round_trip(self):
-        plan = build_partition(5, 3)
-        assert PartitionPlan.from_dict(plan.to_dict()) == plan
-
 
 class TestVerifyPartition:
     def test_flags_monochromatic_part(self):
@@ -141,7 +137,3 @@ class TestWcLowerBounds:
     def test_rejects_m_max_below_k(self):
         with pytest.raises(InvalidArgumentError):
             wc_lower_bounds(4, 3)
-
-    def test_round_trip(self):
-        row = wc_bound_for(3, 4)
-        assert type(row).from_dict(row.to_dict()) == row

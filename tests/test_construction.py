@@ -10,7 +10,7 @@ from cyclicvdw import (
     theorem_bounds,
     witness_class,
 )
-from cyclicvdw.construction import EXACT_BY_SINGLETON, EXACT_NONE, ForbiddenSet
+from cyclicvdw.construction import EXACT_BY_SINGLETON, EXACT_NONE
 
 import helpers
 
@@ -51,10 +51,6 @@ class TestBuildForbidden:
     def test_rejects_small_k(self):
         with pytest.raises(InvalidArgumentError):
             build_forbidden(3, 2)
-
-    def test_round_trip(self):
-        forb = build_forbidden(9, 9)
-        assert ForbiddenSet.from_dict(forb.to_dict()) == forb
 
 
 class TestSizeFormula:
