@@ -87,10 +87,17 @@ def _open_cache(path) -> ResultsCache | None:
     return cache
 
 
+# The fields of a cached exact value that `exact` and `sweep` render, by `what`.
+_RENDERED = {"b": ("modulus", "k", "value", "status", "witness"),
+             "chi": ("modulus", "k", "value", "status", "coloring")}
+
+
 def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
-    """The cached value for `key` if exact; a bound-only record is never served."""
+    """The cached value for `key` if exact and complete; anything else is a miss."""
     rec = cache.get(key) if cache is not None else None
-    return rec.value if rec is not None and rec.status == search.STATUS_EXACT else None
+    if rec is None or rec.status != search.STATUS_EXACT:
+        return None
+    return rec.value if all(f in rec.value for f in _RENDERED[key["what"]]) else None
 
 
 def cmd_diffs(args) -> Output:

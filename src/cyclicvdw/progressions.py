@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -16,7 +17,8 @@ from .errors import (
 )
 
 # Enumeration refuses moduli above this unless explicitly overridden; the
-# dedupe set is what actually eats memory.
+# returned list, up to N*|D| progressions of k elements each, is what eats
+# memory.
 DEFAULT_ENUMERATION_CAP = 10_000
 
 METHOD_BRUTE_FORCE = "brute_force"
@@ -29,7 +31,7 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidArgumentError(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicProgression:
     """A k-element residue set mod N realized as an arithmetic progression.
 
@@ -118,8 +120,17 @@ def enumerate_progressions(
 ) -> list[CyclicProgression]:
     """Every distinct k-term progression mod N, each element set exactly once.
 
-    Returns [] when k > N.  The witnessed pair of each progression uses the
-    smallest canonical difference, then the smallest base.
+    Returns [] when k > N.  The list is sorted by element tuple, and
+    `edge_masks` and the search node counts that follow from it rely on
+    that order.  The witnessed pair of each progression uses the smallest
+    canonical difference, then the smallest base.
+
+    Each progression P is S + min(P) for exactly one S containing 0 with
+    max(S) < N - min(P), so only the family of progressions through 0 is
+    built and deduped; translating it by a = 0, 1, ... emits P in sorted
+    order.  A translate keeps the difference of the witness and moves its
+    base by a, since two bases share one canonical difference only when P
+    is a whole coset of the subgroup, whose smallest base is min(P).
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(
@@ -128,16 +139,34 @@ def enumerate_progressions(
     )
     if k > modulus:
         return []
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
+    family: dict[tuple[int, ...], tuple[int, int]] = {}
     for d in canonical_diffs(modulus, k):
-        for t in range(modulus):
-            elems = tuple(sorted((t + i * d) % modulus for i in range(k)))
-            if elems not in seen:
-                seen[elems] = (t, d)
-    return [
-        CyclicProgression(modulus, elems, t, d)
-        for elems, (t, d) in sorted(seen.items())
-    ]
+        g = gcd(modulus, d)
+        if d != g and modulus // g <= k + 1:
+            # Through 0, a d of order k or k+1 yields only gZ_N or gZ_N minus
+            # a point: the progressions of the smaller difference g.
+            continue
+        # The window line[s:s + k] is the progression through 0 with base
+        # line[s].  Base 0 (s = k - 1) goes first: when d has order k every
+        # window is gZ_N, whose smallest base is 0.
+        line = [j * d % modulus for j in range(1 - k, k)]
+        for s in range(k - 1, -1, -1):
+            window = line[s:s + k]
+            family.setdefault(tuple(sorted(window)), (window[0], d))
+    rows = [(elems[-1], itemgetter(*elems), t, d)
+            for elems, (t, d) in sorted(family.items())]
+    # pick(residues[a:]) is S + a and residues[t + a] is (t + a) mod N; reading
+    # both out of one list shares the int objects between translates instead
+    # of allocating k new ones for each.
+    residues = list(range(modulus)) * 2
+    out: list[CyclicProgression] = []
+    for a in range(modulus):
+        # Drop the members whose translate by a would wrap past N - 1.
+        rows = [row for row in rows if row[0] < modulus - a]
+        shifted = residues[a:]
+        out += [CyclicProgression(modulus, pick(shifted), residues[t + a], d)
+                for _, pick, t, d in rows]
+    return out
 
 
 def edge_masks(modulus: int, k: int) -> list[int]:

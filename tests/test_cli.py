@@ -25,6 +25,10 @@ def run(capsys, *argv):
 
 RESIDUE_FILE = "# trial sets mod 12\n0,1,2,4,5,8,9\n0,3,6,9\n"
 
+# A cached exact b(9,3) record whose value object has none of the fields shown.
+INCOMPLETE_EXACT_B9 = json.dumps({"key": {"op": "exact", "n": 9, "k": 3, "what": "b"},
+                                  "status": "exact", "value": {}}) + "\n"
+
 # The full stdout of small commands in each format.  A json entry is the
 # document; the command must print exactly json.dumps(doc, indent=2,
 # sort_keys=True) and a newline.  SETS stands for a file holding RESIDUE_FILE.
@@ -384,6 +388,17 @@ class TestExactCommand:
         with open(cache) as fh:
             assert len(fh.readlines()) == 2
 
+    def test_incomplete_exact_cache_record_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(INCOMPLETE_EXACT_B9)
+        argv = ("exact", "--n", "9", "--k", "3", "--what", "b", "--cache", str(cache))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == "b(9,3) = 4 (exact) witness=0,1,3,4\n"
+        assert len(cache.read_text().splitlines()) == 2
+        # The appended complete record is served from now on.
+        assert run(capsys, *argv) == (0, out, "")
+
     def test_non_positive_modulus_is_a_usage_error(self, capsys):
         for what in ("b", "chi"):
             code, out, err = run(capsys, "exact", "--n", "-3", "--k", "3",
@@ -428,6 +443,15 @@ class TestSweepCommand:
                            "--format", "csv")
         assert code == 0
         assert "3,3,4,6,4,search," in out.splitlines()
+
+    def test_bounds_skip_incomplete_cached_exact(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(INCOMPLETE_EXACT_B9)
+        code, out, err = run(capsys, "sweep", "--k", "3", "--m", "3",
+                             "--what", "bounds", "--cache", str(cache),
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "3,3,4,6,,none,"
 
     def test_partition_rows_keep_failures_inline(self, capsys):
         code, out, _ = run(capsys, "sweep", "--k", "3", "--m", "0..2",

@@ -121,6 +121,9 @@ class TestEnumerateProgressions:
             progs = enumerate_progressions(n, k)
             ours = {frozenset(p.elements) for p in progs}
             assert ours == helpers.brute_progression_sets(n, k)
+            # Sorted by elements, with the (smallest d, then t) witness.
+            assert [(p.elements, p.witnessed_base, p.witnessed_diff)
+                    for p in progs] == helpers.brute_progression_witnesses(n, k)
             masks = edge_masks(n, k)
             assert masks == [sum(1 << v for v in p.elements) for p in progs]
             assert set(masks) == set(helpers.edge_masks(n, k))
