@@ -87,17 +87,34 @@ def _open_cache(path) -> ResultsCache | None:
     return cache
 
 
-# The fields of a cached exact value that `exact` and `sweep` render, by `what`.
-_RENDERED = {"b": ("modulus", "k", "value", "status", "witness"),
-             "chi": ("modulus", "k", "value", "status", "coloring")}
+def _residues_below(xs, n: int) -> bool:
+    return isinstance(xs, list) and all(type(x) is int and 0 <= x < n for x in xs)
 
 
 def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
-    """The cached value for `key` if exact and complete; anything else is a miss."""
+    """The cached value for `key` if exact and re-verified; anything else is a
+    miss.  A b witness must be `value` distinct residues holding no
+    progression, a chi coloring must give every residue one of `value`
+    colors with no monochromatic progression."""
     rec = cache.get(key) if cache is not None else None
     if rec is None or rec.status != search.STATUS_EXACT:
         return None
-    return rec.value if all(f in rec.value for f in _RENDERED[key["what"]]) else None
+    n, k, value = key["n"], key["k"], rec.value
+    modulus, length, size = (value.get(f) for f in ("modulus", "k", "value"))
+    if not (all(type(x) is int for x in (modulus, length, size))
+            and (modulus, length) == (n, k) and value.get("status") == rec.status):
+        return None
+    if key["what"] == "b":
+        witness = value.get("witness")
+        ok = (_residues_below(witness, n) and len(set(witness)) == len(witness) == size
+              and progressions.find_contained_progression(witness, n, k) is None)
+    else:
+        colors = value.get("coloring")
+        ok = (_residues_below(colors, size) and len(colors) == n
+              and coloring.find_violation(n, k, [
+                  (c, [v for v in range(n) if colors[v] == c]) for c in set(colors)
+              ]) is None)
+    return value if ok else None
 
 
 def cmd_diffs(args) -> Output:

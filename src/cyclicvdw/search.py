@@ -88,12 +88,36 @@ class _Abort(Exception):
     pass
 
 
-def _greedy_independent(n: int, edges: list[int]) -> int:
+def _edge_tables(n: int, edges: list[int]):
+    """Per-vertex masks over edge ids, where bit i stands for edges[i].
+
+    keep[v] holds the edges not through v, top[v] the edges whose largest
+    vertex is v, and verts[i] the vertices of edges[i], largest first.
+    """
+    touch = [0] * n
+    top = [0] * n
+    verts = []
+    for i, e in enumerate(edges):
+        bit = 1 << i
+        vs = []
+        while e:
+            v = e.bit_length() - 1
+            vs.append(v)
+            touch[v] |= bit
+            e ^= 1 << v
+        top[vs[0]] |= bit
+        verts.append(vs)
+    full = (1 << len(edges)) - 1
+    return [full ^ t for t in touch], top, verts
+
+
+def _greedy_independent(n: int, alive: int, keep: list[int], top: list[int]) -> int:
     inc = 0
     for v in range(n):
-        cand = inc | (1 << v)
-        if not any(e & cand == e for e in edges):
-            inc = cand
+        if alive & top[v]:
+            alive &= keep[v]
+        else:
+            inc |= 1 << v
     return inc
 
 
@@ -102,11 +126,18 @@ def independence_number(
 ) -> IndependenceResult:
     """Exact b(N, k) with a witness, or the best lower bound found in budget.
 
-    Branch and bound over vertices; the bound is current size plus remaining
-    candidates minus one forced exclusion per pairwise-disjoint unbroken edge.
-    Vertex 0 is excluded up front (translates of independent sets are
-    independent), and Z_N minus the forbidden-set construction seeds the
-    incumbent when k | N.
+    Branch and bound over vertices 0, 1, ..., N-1, including before
+    excluding.  The state is `alive`, one int over edge ids: the edges with
+    no excluded vertex.  Vertices are decided in order, so including v is
+    illegal iff an alive edge has v as its largest vertex.  The bound is the
+    current size plus the undecided vertices minus one forced exclusion per
+    edge of a greedy packing: take the lowest alive edge id, drop every edge
+    sharing one of its undecided vertices, and repeat.  That is the packing
+    of edges with pairwise-disjoint undecided parts taken in edge order, so
+    the tree and its node count follow from the edge order alone.  Vertex 0
+    is excluded up front (translates of independent sets are independent),
+    and Z_N minus the forbidden-set construction seeds the incumbent when
+    k | N.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(modulus >= 1, f"modulus must be positive, got {modulus}")
@@ -118,7 +149,9 @@ def independence_number(
             n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
         )
     edges = edge_masks(n, k)
-    best_mask = _greedy_independent(n, edges)
+    keep, top, verts = _edge_tables(n, edges)
+    full = (1 << len(edges)) - 1
+    best_mask = _greedy_independent(n, full, keep, top)
     if n % k == 0:
         avoiding = build_avoiding(n // k, k)
         if len(avoiding) > bin(best_mask).count("1"):
@@ -127,52 +160,50 @@ def independence_number(
                 best_mask |= 1 << v
     best = bin(best_mask).count("1")
 
-    suffix = [(((1 << n) - 1) >> i) << i for i in range(n + 1)]
+    max_nodes = budget.max_nodes
     deadline = start + budget.max_seconds
     nodes = 0
-    aborted = False
 
-    def rec(idx: int, inc_mask: int, inc_count: int, alive: list[int]) -> None:
-        nonlocal best, best_mask, nodes, aborted
-        if aborted:
-            return
+    def rec(idx: int, inc_mask: int, inc_count: int, alive: int) -> None:
+        nonlocal best, best_mask, nodes
         nodes += 1
-        if nodes > budget.max_nodes or (
+        if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
-            aborted = True
-            return
+            raise _Abort
         if idx == n:
             if inc_count > best:
                 best, best_mask = inc_count, inc_mask
             return
-        und = suffix[idx]
-        # Each unbroken edge still needs one exclusion among its undecided
-        # vertices; disjoint such edges cost one exclusion apiece.
-        used = 0
-        forced = 0
-        for e in alive:
-            eu = e & und
-            if eu and not (eu & used):
-                used |= eu
-                forced += 1
-        if inc_count + (n - idx) - forced <= best:
+        # Each alive edge still needs one exclusion among its undecided
+        # vertices; packed edges with disjoint undecided parts cost one apiece.
+        # Prune once the packing has used up the slack.
+        slack = inc_count + (n - idx) - best
+        cand = alive
+        while cand and slack > 0:
+            slack -= 1
+            for v in verts[(cand & -cand).bit_length() - 1]:
+                if v < idx:
+                    break
+                cand &= keep[v]
+        if slack <= 0:
             return
-        bit = 1 << idx
-        und_after = suffix[idx + 1]
-        if not any((e & bit) and not (e & und_after) for e in alive):
-            rec(idx + 1, inc_mask | bit, inc_count + 1, alive)
-        rec(idx + 1, inc_mask, inc_count, [e for e in alive if not (e & bit)])
+        if not alive & top[idx]:
+            rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive)
+        rec(idx + 1, inc_mask, inc_count, alive & keep[idx])
 
-    if edges:
-        # Fix 0 out of the independent set; some maximum set excludes a vertex
-        # and every translate of an independent set is independent.
-        rec(1, 0, 0, [e for e in edges if not (e & 1)])
-    else:
-        best, best_mask = n, (1 << n) - 1
+    # Fix 0 out of the independent set; some maximum set excludes a vertex
+    # (k <= N, so {0, ..., k-1} is an edge) and every translate of an
+    # independent set is independent.
+    try:
+        rec(1, 0, 0, full & keep[0])
+        status = STATUS_EXACT
+    except _Abort:
+        status = STATUS_LOWER_BOUND_ONLY
+    finally:
+        rec = None  # break the closure's self-reference
 
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
-    status = STATUS_LOWER_BOUND_ONLY if aborted else STATUS_EXACT
     return IndependenceResult(
         n, k, best, witness, status, nodes, time.monotonic() - start
     )
@@ -183,51 +214,59 @@ def is_r_colorable(
 ) -> ColorabilityOutcome:
     """Search for a proper r-coloring (no monochromatic k-term progression).
 
-    The returned coloring is re-verified class by class before being handed
-    back; a budget kill yields INDETERMINATE, never a refutation.
+    Backtracking over vertices 0, 1, ..., N-1, trying colors in order and
+    never a color beyond the first unused one.  The state is one int over
+    edge ids per color: the edges with no vertex decided in another color.
+    Giving v color c is illegal iff such an edge of c has v as its largest
+    vertex.  The returned coloring is re-verified class by class before
+    being handed back; a budget kill yields INDETERMINATE, never a
+    refutation.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     _require(r >= 1, f"r must be positive, got {r}")
-    budget = budget or SearchBudget()
-    n = modulus
-    # below[v]: each edge whose top vertex is v, minus that vertex.
-    below: list[list[int]] = [[] for _ in range(n)]
-    for e in edge_masks(n, k):
-        top = e.bit_length() - 1
-        below[top].append(e ^ (1 << top))
-    if not any(below):
+    tables = _edge_tables(modulus, edge_masks(modulus, k))
+    return _colorable(modulus, k, r, budget, tables)
+
+
+def _colorable(
+    n: int, k: int, r: int, budget: SearchBudget | None, tables
+) -> ColorabilityOutcome:
+    keep, top, verts = tables
+    if not verts:
         return ColorabilityOutcome(COLORABLE, tuple([0] * n))
+    budget = budget or SearchBudget()
+    max_nodes = budget.max_nodes
     color = [-1] * n
-    classes = [0] * r
     deadline = time.monotonic() + budget.max_seconds
     nodes = 0
 
-    def rec(v: int, used: int) -> bool:
+    def rec(v: int, used: int, live: list[int]) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > budget.max_nodes or (
+        if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
             raise _Abort
         if v == n:
             return True
+        top_v, keep_v = top[v], keep[v]
         for c in range(min(used + 1, r)):
-            cls = classes[c]
-            if any(rest & cls == rest for rest in below[v]):
+            if live[c] & top_v:
                 continue
             color[v] = c
-            classes[c] = cls | (1 << v)
-            if rec(v + 1, max(used, c + 1)):
+            nxt = [x & keep_v for x in live]
+            nxt[c] = live[c]
+            if rec(v + 1, max(used, c + 1), nxt):
                 return True
-            classes[c] = cls
-            color[v] = -1
         return False
 
     try:
-        found = rec(0, 0)
+        found = rec(0, 0, [(1 << len(verts)) - 1] * r)
     except _Abort:
         return ColorabilityOutcome(INDETERMINATE, None)
+    finally:
+        rec = None  # break the closure's self-reference
     if not found:
         return ColorabilityOutcome(REFUTED, None)
     parts = [(c, [v for v in range(n) if color[v] == c]) for c in range(r)]
@@ -245,13 +284,15 @@ def chromatic_number(
 ) -> ColoringResult:
     """Smallest r admitting a proper r-coloring, trying r = 1, 2, ...
 
+    The edges and their tables are built once and shared by every probe.
     Exact only when every smaller r was refuted rather than budget-killed.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(modulus >= 1, f"modulus must be positive, got {modulus}")
+    tables = _edge_tables(modulus, edge_masks(modulus, k))
     all_refuted = True
     for r in range(1, modulus + 1):
-        out = is_r_colorable(modulus, k, r, budget)
+        out = _colorable(modulus, k, r, budget, tables)
         if out.status == COLORABLE:
             status = STATUS_EXACT if all_refuted else STATUS_UPPER_BOUND_ONLY
             return ColoringResult(modulus, k, r, out.coloring, status)

@@ -29,6 +29,45 @@ RESIDUE_FILE = "# trial sets mod 12\n0,1,2,4,5,8,9\n0,3,6,9\n"
 INCOMPLETE_EXACT_B9 = json.dumps({"key": {"op": "exact", "n": 9, "k": 3, "what": "b"},
                                   "status": "exact", "value": {}}) + "\n"
 
+
+
+def exact_record(what, n, k, **value):
+    """One cache line holding an exact record for (what, n, k)."""
+    value = {"modulus": n, "k": k, "status": "exact", **value}
+    return json.dumps({"key": {"op": "exact", "n": n, "k": k, "what": what},
+                       "status": "exact", "value": value}) + "\n"
+
+
+# Cached exact records that are complete but fail re-verification.
+UNVERIFIED_EXACT_B9 = [
+    pytest.param(exact_record("b", 9, 3, value=7, witness=[0, 1, 2, 3, 4, 5, 6]),
+                 id="witness-holds-progression"),
+    pytest.param(exact_record("b", 9, 3, value=4, witness=5), id="witness-not-a-list"),
+    pytest.param(exact_record("b", 9, 3, value=4, witness=[0, 1, 3, 3]),
+                 id="witness-repeats"),
+    pytest.param(exact_record("b", 9, 3, value=4, witness=[0, 1, 3]),
+                 id="witness-shorter-than-value"),
+    pytest.param(exact_record("b", 9, 3, value=4, witness=[0, 1, 3, 9]),
+                 id="witness-out-of-range"),
+    pytest.param(exact_record("b", 9, 3, value="4", witness=[0, 1, 3, 4]),
+                 id="value-not-an-int"),
+    pytest.param(exact_record("b", 9, 3, modulus=10, value=4, witness=[0, 1, 3, 4]),
+                 id="other-modulus"),
+]
+UNVERIFIED_EXACT_CHI9 = [
+    pytest.param(exact_record("chi", 9, 3, value=2, coloring=[0, 1] * 4 + [0]),
+                 id="monochromatic-progression"),
+    pytest.param(exact_record("chi", 9, 3, value=1, coloring=[0] * 9),
+                 id="one-color"),
+    pytest.param(exact_record("chi", 9, 3, value=3, coloring=[0, 0, 1, 1, 2, 2]),
+                 id="too-few-entries"),
+    pytest.param(exact_record("chi", 9, 3, value=2,
+                              coloring=[0, 0, 1, 0, 0, 1, 1, 2, 2]),
+                 id="color-out-of-range"),
+    pytest.param(exact_record("chi", 9, 3, value=3, coloring={"0": 0}),
+                 id="not-a-list"),
+]
+
 # The full stdout of small commands in each format.  A json entry is the
 # document; the command must print exactly json.dumps(doc, indent=2,
 # sort_keys=True) and a newline.  SETS stands for a file holding RESIDUE_FILE.
@@ -399,6 +438,34 @@ class TestExactCommand:
         # The appended complete record is served from now on.
         assert run(capsys, *argv) == (0, out, "")
 
+    @pytest.mark.parametrize("line", UNVERIFIED_EXACT_B9)
+    def test_unverified_exact_b_record_is_recomputed(self, capsys, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line)
+        argv = ("exact", "--n", "9", "--k", "3", "--what", "b", "--cache", str(cache))
+        assert run(capsys, *argv) == (0, "b(9,3) = 4 (exact) witness=0,1,3,4\n", "")
+        assert len(cache.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("line", UNVERIFIED_EXACT_CHI9)
+    def test_unverified_exact_chi_record_is_recomputed(self, capsys, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line)
+        argv = ("exact", "--n", "9", "--k", "3", "--what", "chi", "--cache", str(cache))
+        assert run(capsys, *argv) == (0, "chi(9,3) = 3 (exact)\n", "")
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_verified_exact_records_are_served(self, capsys, tmp_path):
+        # Re-verification checks the witness, not the optimality claim.
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(exact_record("b", 9, 3, value=3, witness=[0, 1, 3])
+                         + exact_record("chi", 9, 3, value=4,
+                                        coloring=[0, 0, 1, 1, 2, 2, 3, 3, 1]))
+        for what, out in (("b", "b(9,3) = 3 (exact) witness=0,1,3\n"),
+                          ("chi", "chi(9,3) = 4 (exact)\n")):
+            assert run(capsys, "exact", "--n", "9", "--k", "3", "--what", what,
+                       "--cache", str(cache)) == (0, out, "")
+        assert len(cache.read_text().splitlines()) == 2
+
     def test_non_positive_modulus_is_a_usage_error(self, capsys):
         for what in ("b", "chi"):
             code, out, err = run(capsys, "exact", "--n", "-3", "--k", "3",
@@ -447,6 +514,16 @@ class TestSweepCommand:
     def test_bounds_skip_incomplete_cached_exact(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text(INCOMPLETE_EXACT_B9)
+        code, out, err = run(capsys, "sweep", "--k", "3", "--m", "3",
+                             "--what", "bounds", "--cache", str(cache),
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "3,3,4,6,,none,"
+
+    @pytest.mark.parametrize("line", UNVERIFIED_EXACT_B9)
+    def test_bounds_skip_unverified_cached_exact(self, capsys, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line)
         code, out, err = run(capsys, "sweep", "--k", "3", "--m", "3",
                              "--what", "bounds", "--cache", str(cache),
                              "--format", "csv")

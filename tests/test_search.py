@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from cyclicvdw import (
@@ -158,3 +160,58 @@ class TestChromaticNumber:
             chromatic_number(modulus, 3)
         with pytest.raises(InvalidArgumentError):
             is_r_colorable(modulus, 3, 2)
+
+
+# (value, witness, status, nodes_explored) and (value, coloring, status) under
+# a 30,000-node budget.  Any change to the bound, the branching order or the
+# color order changes some of these.
+PINNED_BUDGET = SearchBudget(max_nodes=30_000)
+PINNED_B = {
+    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_LOWER_BOUND_ONLY, 30001),
+    (32, 4): (13, (1, 2, 3, 5, 6, 8, 9, 10, 16, 21, 24, 25, 26),
+              STATUS_LOWER_BOUND_ONLY, 30001),
+    (40, 8): (29, (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19,
+                   20, 23, 24, 25, 26, 27, 28, 33, 34, 35, 36, 37),
+              STATUS_LOWER_BOUND_ONLY, 30001),
+    (36, 6): (22, (1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 18, 19, 20, 21,
+                   23, 27, 30, 31, 32), STATUS_LOWER_BOUND_ONLY, 30001),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 515),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 1311),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 1260),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 3449),
+}
+PINNED_CHI = {
+    (20, 3): (4, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 1, 2, 2, 3, 3),
+              STATUS_EXACT),
+    (17, 5): (3, (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 2), STATUS_EXACT),
+    (26, 3): (4, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1, 0, 0, 1, 1, 3, 2, 1, 3, 3,
+                  2, 2, 3, 2, 3), "upper_bound_only"),
+}
+
+
+class TestSearchTreeIsPinned:
+    @pytest.mark.parametrize("n,k", list(PINNED_B))
+    def test_independence(self, n, k):
+        res = independence_number(n, k, PINNED_BUDGET)
+        assert (res.value, res.witness, res.status, res.nodes_explored) == \
+            PINNED_B[n, k]
+
+    @pytest.mark.parametrize("n,k", list(PINNED_CHI))
+    def test_chromatic(self, n, k):
+        res = chromatic_number(n, k, PINNED_BUDGET)
+        assert (res.value, res.coloring, res.status) == PINNED_CHI[n, k]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The search state must be freed by reference counting when a call
+    # returns, also after a budget kill, not left for the cycle collector.
+    gc.collect()
+    gc.disable()
+    try:
+        independence_number(20, 4)
+        chromatic_number(17, 3)
+        out = is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
+        assert out.status == INDETERMINATE
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
