@@ -40,7 +40,6 @@ from .progressions import (
     enumerate_progressions,
     find_contained_progression,
     make_progression,
-    subgroup_order,
 )
 from .search import (
     ColoringResult,
@@ -87,7 +86,6 @@ __all__ = [
     "is_r_colorable",
     "make_progression",
     "split_alternating",
-    "subgroup_order",
     "theorem_bounds",
     "verify_partition",
     "wc_lower_bounds",

@@ -31,7 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_MAX_EXACT_N = 40
+MAX_EXACT_N = 40
 
 # Failures of the caller's input: exit 2, or one row's error in a sweep.
 PRECONDITION_ERRORS = (InvalidArgumentError, BudgetExceededError)
@@ -87,15 +87,11 @@ def _open_cache(path) -> ResultsCache | None:
     return cache
 
 
-def _residues_below(xs, n: int) -> bool:
-    return isinstance(xs, list) and all(type(x) is int and 0 <= x < n for x in xs)
-
-
 def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
     """The cached value for `key` if exact and re-verified; anything else is a
-    miss.  A b witness must be `value` distinct residues holding no
-    progression, a chi coloring must give every residue one of `value`
-    colors with no monochromatic progression."""
+    miss.  The witness or coloring must pass the check that a fresh search
+    answer passes: `search.is_free_witness` for b, `search.is_proper_coloring`
+    for chi."""
     rec = cache.get(key) if cache is not None else None
     if rec is None or rec.status != search.STATUS_EXACT:
         return None
@@ -105,15 +101,9 @@ def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
             and (modulus, length) == (n, k) and value.get("status") == rec.status):
         return None
     if key["what"] == "b":
-        witness = value.get("witness")
-        ok = (_residues_below(witness, n) and len(set(witness)) == len(witness) == size
-              and progressions.find_contained_progression(witness, n, k) is None)
+        ok = search.is_free_witness(n, k, size, value.get("witness"))
     else:
-        colors = value.get("coloring")
-        ok = (_residues_below(colors, size) and len(colors) == n
-              and coloring.find_violation(n, k, [
-                  (c, [v for v in range(n) if colors[v] == c]) for c in set(colors)
-              ]) is None)
+        ok = search.is_proper_coloring(n, k, size, value.get("coloring"))
     return value if ok else None
 
 
@@ -164,9 +154,9 @@ def cmd_construct(args) -> Output:
 
 
 def cmd_exact(args) -> Output:
-    if args.n > args.max_exact_n and not args.force:
+    if args.n > MAX_EXACT_N and not args.force:
         raise InvalidArgumentError(
-            f"N={args.n} exceeds the exact-search cap {args.max_exact_n}; "
+            f"N={args.n} exceeds the exact-search cap {MAX_EXACT_N}; "
             f"pass --force to run anyway"
         )
     key = {"op": "exact", "n": args.n, "k": args.k, "what": args.what}
@@ -258,10 +248,10 @@ def cmd_conjecture(args) -> Output:
         row = dict.fromkeys(CONJECTURE_FIELDS, "")
         row.update(k=k, m=m, n=n, status="rejected")
         rows.append(row)
-        if m <= n or n * k < 3:
-            continue
         try:
             rep = progressions.check_conjecture(m, n, k, cap=args.cap)
+        except InvalidArgumentError:
+            continue
         except BudgetExceededError:
             row["status"] = "budget"
             continue
@@ -332,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                 ("n", "k"))
     p.add_argument("--what", choices=["b", "chi"], required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--max-exact-n", type=int, default=DEFAULT_MAX_EXACT_N)
     p.add_argument("--budget-nodes", type=int, default=10**8)
     p.add_argument("--budget-seconds", type=float, default=60.0)
     p.add_argument("--cache", default=None)

@@ -171,7 +171,6 @@ def witness_class(m: int, k: int, a: CyclicProgression) -> ProgressionClassWitne
     window = tuple(
         sorted((base + d * (r0 + u * step)) % n for u in range(d))
     )
-    elems = set(a.elements)
     forbidden = set(build_forbidden(m, k).union)
     hit = None
     for w in window:

@@ -25,7 +25,9 @@ class DegenerateProgressionError(InvalidArgumentError):
 
 
 class BudgetExceededError(CyclicVdwError):
-    """An enumeration cap was exceeded before the computation could start."""
+    """A cap or budget ran out: an enumeration cap before the computation
+    could start, or the search budget of an `is_r_colorable` probe, which
+    then proves nothing either way."""
 
 
 class InternalInconsistencyError(CyclicVdwError):

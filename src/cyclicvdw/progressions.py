@@ -44,18 +44,6 @@ class CyclicProgression:
     witnessed_base: int
     witnessed_diff: int
 
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "elements": list(self.elements),
-            "base": self.witnessed_base,
-            "diff": self.witnessed_diff,
-        }
-
 
 @dataclass(frozen=True)
 class DifferenceSet:
@@ -73,13 +61,6 @@ class DifferenceSet:
             "values": list(self.values),
             "method": self.method,
         }
-
-
-def subgroup_order(modulus: int, d: int) -> int:
-    """Order of the cyclic subgroup of Z_modulus generated by d."""
-    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
-    _require(1 <= d <= modulus - 1, f"d must lie in 1..{modulus - 1}, got {d}")
-    return modulus // gcd(d, modulus)
 
 
 def canonical_diffs(modulus: int, k: int) -> tuple[int, ...]:
@@ -211,8 +192,8 @@ def difference_gcd_set(
     """D(N, k), either by brute force over canonical differences or, when N is a
     multiple of k, by the closed form {g : 1 <= g <= N/k, g | k}."""
     _require(k >= 3, f"k must be >= 3, got {k}")
+    _require(modulus >= k, f"D(N,k) needs N >= k, got N={modulus}, k={k}")
     if method == METHOD_BRUTE_FORCE:
-        _require(modulus >= k, f"brute force needs N >= k, got N={modulus}, k={k}")
         values = sorted({gcd(d, k) for d in canonical_diffs(modulus, k)})
     elif method == METHOD_CLOSED_FORM:
         _require(
@@ -244,16 +225,6 @@ class ConjectureReport:
     conjectured: tuple[int, ...]
     brute_force: tuple[int, ...]
     agrees: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "conjectured": list(self.conjectured),
-            "brute_force": list(self.brute_force),
-            "agrees": self.agrees,
-        }
 
 
 def check_conjecture(m: int, n: int, k: int, cap: int = 2000) -> ConjectureReport:

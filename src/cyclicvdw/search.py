@@ -3,8 +3,9 @@ cyclic progressions mod N, at small N.
 
 Independence uses vertex branch-and-bound over bitmask edges; colorability
 uses backtracking with the first vertex's color fixed.  Both respect node
-and wall-clock budgets and report whether the answer is exact or only a
-bound.
+and wall-clock budgets.  Every witness and coloring they hand back has
+passed `is_free_witness` or `is_proper_coloring`, the same checks that
+re-verify cached answers.
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ from dataclasses import dataclass
 
 from .coloring import find_violation
 from .construction import build_avoiding
-from .errors import InternalInconsistencyError
-from .progressions import _require, edge_masks
+from .errors import BudgetExceededError, InternalInconsistencyError
+from .progressions import _require, edge_masks, find_contained_progression
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
 STATUS_UPPER_BOUND_ONLY = "upper_bound_only"
-
-COLORABLE = "colorable"
-REFUTED = "refuted"
-INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -76,16 +73,22 @@ class ColoringResult:
         }
 
 
-@dataclass(frozen=True)
-class ColorabilityOutcome:
-    """colorable with a verified coloring, refuted, or indeterminate on budget."""
+def is_free_witness(n: int, k: int, size: int, witness) -> bool:
+    """True iff `witness` is a list or tuple of `size` distinct int residues
+    below n holding no k-term progression mod n."""
+    return (isinstance(witness, (list, tuple))
+            and all(type(x) is int and 0 <= x < n for x in witness)
+            and len(set(witness)) == len(witness) == size
+            and find_contained_progression(witness, n, k) is None)
 
-    status: str
-    coloring: tuple[int, ...] | None
 
-
-class _Abort(Exception):
-    pass
+def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
+    """True iff `coloring` is a list or tuple of n int entries in
+    range(colors) with no monochromatic k-term progression mod n."""
+    return (isinstance(coloring, (list, tuple)) and len(coloring) == n
+            and all(type(c) is int and 0 <= c < colors for c in coloring)
+            and find_violation(n, k, [(c, [v for v in range(n) if coloring[v] == c])
+                                      for c in set(coloring)]) is None)
 
 
 def _edge_tables(n: int, edges: list[int]):
@@ -170,7 +173,7 @@ def independence_number(
         if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
-            raise _Abort
+            raise BudgetExceededError("independence search budget exhausted")
         if idx == n:
             if inc_count > best:
                 best, best_mask = inc_count, inc_mask
@@ -198,12 +201,14 @@ def independence_number(
     try:
         rec(1, 0, 0, full & keep[0])
         status = STATUS_EXACT
-    except _Abort:
+    except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY
     finally:
         rec = None  # break the closure's self-reference
 
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
+    if not is_free_witness(n, k, best, witness):
+        raise InternalInconsistencyError(f"b({n},{k}) witness {witness} is not free")
     return IndependenceResult(
         n, k, best, witness, status, nodes, time.monotonic() - start
     )
@@ -211,16 +216,16 @@ def independence_number(
 
 def is_r_colorable(
     modulus: int, k: int, r: int, budget: SearchBudget | None = None
-) -> ColorabilityOutcome:
-    """Search for a proper r-coloring (no monochromatic k-term progression).
+) -> tuple[int, ...] | None:
+    """A proper r-coloring (no monochromatic k-term progression), or None
+    when the search refutes one.
 
     Backtracking over vertices 0, 1, ..., N-1, trying colors in order and
     never a color beyond the first unused one.  The state is one int over
     edge ids per color: the edges with no vertex decided in another color.
     Giving v color c is illegal iff such an edge of c has v as its largest
-    vertex.  The returned coloring is re-verified class by class before
-    being handed back; a budget kill yields INDETERMINATE, never a
-    refutation.
+    vertex.  The coloring passes `is_proper_coloring` before it is handed
+    back; a budget kill raises BudgetExceededError, never a refutation.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(modulus >= 1, f"modulus must be positive, got {modulus}")
@@ -231,10 +236,10 @@ def is_r_colorable(
 
 def _colorable(
     n: int, k: int, r: int, budget: SearchBudget | None, tables
-) -> ColorabilityOutcome:
+) -> tuple[int, ...] | None:
     keep, top, verts = tables
     if not verts:
-        return ColorabilityOutcome(COLORABLE, tuple([0] * n))
+        return tuple([0] * n)
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
     color = [-1] * n
@@ -247,7 +252,7 @@ def _colorable(
         if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
-            raise _Abort
+            raise BudgetExceededError(f"{r}-colorability search budget exhausted")
         if v == n:
             return True
         top_v, keep_v = top[v], keep[v]
@@ -262,21 +267,13 @@ def _colorable(
         return False
 
     try:
-        found = rec(0, 0, [(1 << len(verts)) - 1] * r)
-    except _Abort:
-        return ColorabilityOutcome(INDETERMINATE, None)
+        if not rec(0, 0, [(1 << len(verts)) - 1] * r):
+            return None
     finally:
         rec = None  # break the closure's self-reference
-    if not found:
-        return ColorabilityOutcome(REFUTED, None)
-    parts = [(c, [v for v in range(n) if color[v] == c]) for c in range(r)]
-    violation = find_violation(n, k, parts)
-    if violation is not None:
-        raise InternalInconsistencyError(
-            f"color class {violation.part_label} contains progression "
-            f"{violation.witness}"
-        )
-    return ColorabilityOutcome(COLORABLE, tuple(color))
+    if not is_proper_coloring(n, k, r, color):
+        raise InternalInconsistencyError(f"improper {r}-coloring {color} of Z_{n}")
+    return tuple(color)
 
 
 def chromatic_number(
@@ -292,12 +289,14 @@ def chromatic_number(
     tables = _edge_tables(modulus, edge_masks(modulus, k))
     all_refuted = True
     for r in range(1, modulus + 1):
-        out = _colorable(modulus, k, r, budget, tables)
-        if out.status == COLORABLE:
-            status = STATUS_EXACT if all_refuted else STATUS_UPPER_BOUND_ONLY
-            return ColoringResult(modulus, k, r, out.coloring, status)
-        if out.status == INDETERMINATE:
+        try:
+            coloring = _colorable(modulus, k, r, budget, tables)
+        except BudgetExceededError:
             all_refuted = False
+            continue
+        if coloring is not None:
+            status = STATUS_EXACT if all_refuted else STATUS_UPPER_BOUND_ONLY
+            return ColoringResult(modulus, k, r, coloring, status)
     # Distinct colors are always proper for k >= 3; reachable only if every
     # probe up to r = N was budget-killed.
     return ColoringResult(

@@ -346,6 +346,12 @@ class TestDiffsCommand:
                            "--method", "closed")
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_modulus_below_k_is_a_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "diffs", "--n", n, "--k", "3",
+                             "--method", "closed")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestConstructCommand:
     def test_text_with_verify(self, capsys):

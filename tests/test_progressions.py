@@ -15,7 +15,6 @@ from cyclicvdw import (
     enumerate_progressions,
     find_contained_progression,
     make_progression,
-    subgroup_order,
 )
 from cyclicvdw.progressions import (
     METHOD_BRUTE_FORCE,
@@ -24,24 +23,6 @@ from cyclicvdw.progressions import (
 )
 
 import helpers
-
-
-class TestSubgroupOrder:
-    @pytest.mark.parametrize("n,d,expected", [(12, 2, 6), (12, 5, 12), (9, 3, 3)])
-    def test_examples(self, n, d, expected):
-        assert subgroup_order(n, d) == expected
-
-    @pytest.mark.parametrize("n,d", [(12, 0), (12, 12), (12, 13), (5, -1)])
-    def test_rejects_out_of_range(self, n, d):
-        with pytest.raises(InvalidArgumentError):
-            subgroup_order(n, d)
-
-    @given(st.integers(2, 500).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
-    def test_order_times_gcd_is_modulus(self, nd):
-        n, d = nd
-        from math import gcd
-        assert subgroup_order(n, d) * gcd(n, d) == n
 
 
 class TestCanonicalDiffs:
@@ -226,6 +207,12 @@ class TestDifferenceGcdSet:
     def test_closed_form_requires_divisibility(self):
         with pytest.raises(InvalidArgumentError):
             difference_gcd_set(12, 5, METHOD_CLOSED_FORM)
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED_FORM, METHOD_BRUTE_FORCE])
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_rejects_modulus_below_k(self, n, method):
+        with pytest.raises(InvalidArgumentError):
+            difference_gcd_set(n, 3, method)
 
     def test_methods_agree_when_k_divides_n(self):
         for n in range(3, 201):

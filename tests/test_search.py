@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from cyclicvdw import (
+    BudgetExceededError,
     InternalInconsistencyError,
     InvalidArgumentError,
     SearchBudget,
@@ -12,13 +13,7 @@ from cyclicvdw import (
     theorem_bounds,
 )
 from cyclicvdw import search
-from cyclicvdw.search import (
-    COLORABLE,
-    INDETERMINATE,
-    REFUTED,
-    STATUS_EXACT,
-    STATUS_LOWER_BOUND_ONLY,
-)
+from cyclicvdw.search import STATUS_EXACT, STATUS_LOWER_BOUND_ONLY
 
 import helpers
 
@@ -69,6 +64,13 @@ class TestIndependenceNumber:
                 assert len(res.witness) == res.value
                 assert not helpers.contains_progression(res.witness, n, k), (n, k)
 
+    def test_witness_from_missing_edges_is_caught(self, monkeypatch):
+        # A search that sees only the edge {0,1,2} returns a set holding
+        # 0,3,6; the witness check must refuse to hand it back.
+        monkeypatch.setattr(search, "edge_masks", lambda n, k: [0b111])
+        with pytest.raises(InternalInconsistencyError):
+            independence_number(9, 3)
+
     def test_budget_exhaustion_reports_lower_bound(self):
         res = independence_number(21, 3, SearchBudget(max_nodes=5))
         assert res.status == STATUS_LOWER_BOUND_ONLY
@@ -108,22 +110,20 @@ class TestIndependenceNumber:
 
 class TestColorability:
     def test_two_colors_refuted_for_nine_three(self):
-        assert is_r_colorable(9, 3, 2).status == REFUTED
+        assert is_r_colorable(9, 3, 2) is None
 
     def test_two_colors_suffice_for_twelve_four(self):
-        out = is_r_colorable(12, 4, 2)
-        assert out.status == COLORABLE
-        assert_proper(12, 4, out.coloring)
+        coloring = is_r_colorable(12, 4, 2)
+        assert coloring is not None
+        assert_proper(12, 4, coloring)
 
     def test_budget_kill_is_indeterminate(self):
-        out = is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
-        assert out.status == INDETERMINATE
-        assert out.coloring is None
+        # Neither a coloring nor a refutation.
+        with pytest.raises(BudgetExceededError):
+            is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
 
     def test_trivial_when_no_edges(self):
-        out = is_r_colorable(4, 5, 1)
-        assert out.status == COLORABLE
-        assert out.coloring == (0, 0, 0, 0)
+        assert is_r_colorable(4, 5, 1) == (0, 0, 0, 0)
 
     def test_coloring_from_missing_edges_is_caught(self, monkeypatch):
         # A search that sees only the edge {0,1,2} returns a 2-coloring with
@@ -151,8 +151,8 @@ class TestChromaticNumber:
 
     def test_matches_refutation_boundary(self):
         res = chromatic_number(9, 3)
-        assert is_r_colorable(9, 3, res.value - 1).status == REFUTED
-        assert is_r_colorable(9, 3, res.value).status == COLORABLE
+        assert is_r_colorable(9, 3, res.value - 1) is None
+        assert is_r_colorable(9, 3, res.value) is not None
 
     @pytest.mark.parametrize("modulus", [0, -3])
     def test_rejects_non_positive_modulus(self, modulus):
@@ -210,8 +210,8 @@ def test_searches_leave_no_cyclic_garbage():
     try:
         independence_number(20, 4)
         chromatic_number(17, 3)
-        out = is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
-        assert out.status == INDETERMINATE
+        with pytest.raises(BudgetExceededError):
+            is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
         assert gc.collect() == 0
     finally:
         gc.enable()
