@@ -12,6 +12,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .serialize import record_dict
+
 TOOL_VERSION = "0.1.0"
 
 _EXACT_STATUSES = {"exact"}
@@ -25,14 +27,7 @@ class CacheRecord:
     tool_version: str
     timestamp: float
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "status": self.status,
-            "value": self.value,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
+    to_dict = record_dict
 
 
 def _canon(key: dict) -> str:

@@ -275,6 +275,8 @@ def cmd_conjecture(args) -> Output:
 
 
 def cmd_verify_file(args) -> Output:
+    progressions._require(args.k >= 3, f"k must be >= 3, got {args.k}")
+    progressions._require(args.n >= 1, f"modulus must be positive, got {args.n}")
     rows = []
     text = []
     for i, residues in enumerate(read_residue_file(args.path), start=1):

@@ -14,6 +14,7 @@ from math import ceil
 from .construction import build_avoiding, build_forbidden
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .progressions import _require, find_contained_progression
+from .serialize import record_dict
 
 REGIME_K_GT_M = "k_gt_m"
 REGIME_K_EQ_M = "k_eq_m"
@@ -71,13 +72,7 @@ class WcBoundRow:
     strict_lower: int
     provenance: str
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "strict_lower": self.strict_lower,
-            "provenance": self.provenance,
-        }
+    to_dict = record_dict
 
 
 def split_alternating(values, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -17,6 +17,7 @@ from .progressions import (
     _require,
     difference_gcd_set,
 )
+from .serialize import record_dict
 
 EXACT_BY_SINGLETON = "D-singleton"
 EXACT_BY_SEARCH = "search"
@@ -61,15 +62,7 @@ class BoundsReport:
     exact: int | None = None
     exactness_reason: str = EXACT_NONE
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "exactness_reason": self.exactness_reason,
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from .errors import (
     DegenerateProgressionError,
     InvalidArgumentError,
 )
+from .serialize import record_dict
 
 # Enumeration refuses moduli above this unless explicitly overridden; the
 # returned list, up to N*|D| progressions of k elements each, is what eats
@@ -33,16 +34,11 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CyclicProgression:
-    """A k-element residue set mod N realized as an arithmetic progression.
-
-    `elements` is the strictly increasing residue tuple; (witnessed_base,
-    witnessed_diff) is one generating pair, kept for provenance only.
-    """
+    """A k-element residue set mod N realized as an arithmetic progression;
+    `elements` is the strictly increasing residue tuple."""
 
     modulus: int
     elements: tuple[int, ...]
-    witnessed_base: int
-    witnessed_diff: int
 
 
 @dataclass(frozen=True)
@@ -54,13 +50,7 @@ class DifferenceSet:
     values: tuple[int, ...]
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "length": self.length,
-            "values": list(self.values),
-            "method": self.method,
-        }
+    to_dict = record_dict
 
 
 def canonical_diffs(modulus: int, k: int) -> tuple[int, ...]:
@@ -93,7 +83,7 @@ def make_progression(modulus: int, base: int, diff: int, k: int) -> CyclicProgre
         x = (x + diff) % modulus
     if len(seen) < k:
         raise DegenerateProgressionError(modulus, base, diff, k, len(seen))
-    return CyclicProgression(modulus, tuple(sorted(seen)), base, diff)
+    return CyclicProgression(modulus, tuple(sorted(seen)))
 
 
 def enumerate_progressions(
@@ -103,15 +93,12 @@ def enumerate_progressions(
 
     Returns [] when k > N.  The list is sorted by element tuple, and
     `edge_masks` and the search node counts that follow from it rely on
-    that order.  The witnessed pair of each progression uses the smallest
-    canonical difference, then the smallest base.
+    that order.
 
     Each progression P is S + min(P) for exactly one S containing 0 with
     max(S) < N - min(P), so only the family of progressions through 0 is
     built and deduped; translating it by a = 0, 1, ... emits P in sorted
-    order.  A translate keeps the difference of the witness and moves its
-    base by a, since two bases share one canonical difference only when P
-    is a whole coset of the subgroup, whose smallest base is min(P).
+    order.
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(
@@ -120,33 +107,26 @@ def enumerate_progressions(
     )
     if k > modulus:
         return []
-    family: dict[tuple[int, ...], tuple[int, int]] = {}
+    family: set[tuple[int, ...]] = set()
     for d in canonical_diffs(modulus, k):
         g = gcd(modulus, d)
         if d != g and modulus // g <= k + 1:
             # Through 0, a d of order k or k+1 yields only gZ_N or gZ_N minus
             # a point: the progressions of the smaller difference g.
             continue
-        # The window line[s:s + k] is the progression through 0 with base
-        # line[s].  Base 0 (s = k - 1) goes first: when d has order k every
-        # window is gZ_N, whose smallest base is 0.
+        # The windows line[s:s + k] are the progressions through 0.
         line = [j * d % modulus for j in range(1 - k, k)]
-        for s in range(k - 1, -1, -1):
-            window = line[s:s + k]
-            family.setdefault(tuple(sorted(window)), (window[0], d))
-    rows = [(elems[-1], itemgetter(*elems), t, d)
-            for elems, (t, d) in sorted(family.items())]
-    # pick(residues[a:]) is S + a and residues[t + a] is (t + a) mod N; reading
-    # both out of one list shares the int objects between translates instead
-    # of allocating k new ones for each.
-    residues = list(range(modulus)) * 2
+        family.update(tuple(sorted(line[s:s + k])) for s in range(k))
+    rows = [(elems[-1], itemgetter(*elems)) for elems in sorted(family)]
+    # pick(residues[a:]) is S + a; reading it out of one list shares the int
+    # objects between translates instead of allocating k new ones for each.
+    residues = list(range(modulus))
     out: list[CyclicProgression] = []
     for a in range(modulus):
         # Drop the members whose translate by a would wrap past N - 1.
         rows = [row for row in rows if row[0] < modulus - a]
         shifted = residues[a:]
-        out += [CyclicProgression(modulus, pick(shifted), residues[t + a], d)
-                for _, pick, t, d in rows]
+        out += [CyclicProgression(modulus, pick(shifted)) for _, pick in rows]
     return out
 
 

@@ -17,6 +17,7 @@ from .coloring import find_violation
 from .construction import build_avoiding
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .progressions import _require, edge_masks, find_contained_progression
+from .serialize import record_dict
 
 STATUS_EXACT = "exact"
 STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
@@ -43,16 +44,7 @@ class IndependenceResult:
     nodes_explored: int
     elapsed: float
 
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "k": self.k,
-            "value": self.value,
-            "witness": list(self.witness),
-            "status": self.status,
-            "nodes_explored": self.nodes_explored,
-            "elapsed": self.elapsed,
-        }
+    to_dict = record_dict
 
 
 @dataclass(frozen=True)
@@ -63,14 +55,7 @@ class ColoringResult:
     coloring: tuple[int, ...]
     status: str
 
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "k": self.k,
-            "value": self.value,
-            "coloring": list(self.coloring),
-            "status": self.status,
-        }
+    to_dict = record_dict
 
 
 def is_free_witness(n: int, k: int, size: int, witness) -> bool:

@@ -1,8 +1,17 @@
-"""Shared wire format: residue sets as ascending comma-separated integers."""
+"""Shared wire format: residue sets as ascending comma-separated integers,
+and dataclass records as JSON objects."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import InvalidArgumentError
+
+
+def record_dict(record) -> dict:
+    """A dataclass record's fields by name, with tuple values as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def residues_to_text(residues) -> str:
@@ -11,10 +20,10 @@ def residues_to_text(residues) -> str:
 
 
 def parse_residues(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated residue list; must be strictly increasing."""
+    """Parse comma-separated ASCII decimal residues, strictly increasing."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        return ()
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise InvalidArgumentError(f"residues must be decimal digits: {text!r}")
     try:
         values = tuple(int(p) for p in parts)
     except ValueError as exc:
@@ -23,8 +32,6 @@ def parse_residues(text: str) -> tuple[int, ...]:
         raise InvalidArgumentError(
             f"residue list must be strictly increasing: {text!r}"
         )
-    if values[0] < 0:
-        raise InvalidArgumentError(f"residues must be non-negative: {text!r}")
     return values
 
 

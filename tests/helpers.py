@@ -27,18 +27,6 @@ def brute_progression_sets(n, k):
     return sets
 
 
-def brute_progression_witnesses(n, k):
-    """Sorted (elements, t, d) of every distinct progression, where (t, d) is its
-    generating pair with the smallest canonical d < n/2, then the smallest t."""
-    best = {}
-    for d in range(1, (n + 1) // 2):
-        for t in range(n):
-            elems = tuple(sorted({(t + i * d) % n for i in range(k)}))
-            if len(elems) == k:
-                best[elems] = min(best.get(elems, (d, t)), (d, t))
-    return sorted((elems, t, d) for elems, (d, t) in best.items())
-
-
 def brute_difference_set(n, k):
     return sorted({gcd(d, k) for d in brute_canonical_diffs(n, k)})
 

@@ -190,6 +190,12 @@ class TestSerialize:
         with pytest.raises(InvalidArgumentError):
             parse_residues("-1,2")
 
+    @pytest.mark.parametrize("text", ["0,1_0", "+3", "0,\u0663", "\uff11,2"])
+    def test_rejects_non_decimal_residues(self, text):
+        # int() would read these, e.g. "1_0" as 10 and U+0663 as 3.
+        with pytest.raises(InvalidArgumentError):
+            parse_residues(text)
+
     def test_read_file_skips_comments(self, tmp_path):
         path = tmp_path / "sets.txt"
         path.write_text("# header\n0,1,3\n\n2,5 # trailing\n")
@@ -245,6 +251,17 @@ class TestResultsCache:
         cache.put(key, "exact", {"value": 9})
         cache.put(key, "lower_bound_only", {"value": 7})
         assert cache.get(key).value == {"value": 9}
+
+    def test_appended_line_fields(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
+        ResultsCache(path).put(key, "exact", {"value": 7, "witness": [0, 1]})
+        line = json.loads(path.read_text())
+        assert set(line) == {"key", "status", "value", "tool_version", "timestamp"}
+        assert (line["key"], line["status"], line["value"]) == (
+            key, "exact", {"value": 7, "witness": [0, 1]})
+        assert isinstance(line["tool_version"], str)
+        assert isinstance(line["timestamp"], float)
 
     def test_key_order_is_canonical(self, tmp_path):
         cache = ResultsCache(tmp_path / "cache.jsonl")
@@ -394,6 +411,16 @@ class TestExactCommand:
                            "--what", "b")
         assert code == 0
         assert out.startswith("b(12,4) = 7 (exact) witness=")
+
+    def test_independence_json(self, capsys):
+        # The golden test leaves b out: `elapsed` differs from run to run.
+        code, out, _ = run(capsys, "exact", "--n", "12", "--k", "4",
+                           "--what", "b", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and isinstance(doc.pop("elapsed"), float)
+        assert doc == {"k": 4, "modulus": 12, "nodes_explored": 30,
+                       "status": "exact", "value": 7,
+                       "witness": [0, 1, 2, 4, 5, 8, 9]}
 
     def test_chromatic_text(self, capsys):
         code, out, _ = run(capsys, "exact", "--n", "9", "--k", "3",
@@ -617,6 +644,23 @@ class TestVerifyFileCommand:
         code, _, err = run(capsys, "verify-file", str(path),
                            "--n", "12", "--k", "3")
         assert code == 2 and "modulus" in err
+
+    def test_non_decimal_residue_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_text("0,1_0\n")
+        code, out, err = run(capsys, "verify-file", str(path),
+                             "--n", "12", "--k", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("contents", ["", "0,1\n"])
+    @pytest.mark.parametrize("flags", [("--n", "5", "--k", "2"),
+                                       ("--n", "0", "--k", "3")])
+    def test_bad_flags_are_usage_errors_for_any_file(self, capsys, tmp_path,
+                                                     contents, flags):
+        path = tmp_path / "sets.txt"
+        path.write_text(contents)
+        code, out, err = run(capsys, "verify-file", str(path), *flags)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify-file", str(tmp_path / "nope.txt"),

@@ -75,6 +75,11 @@ class TestMakeProgression:
             make_progression(12, 0, 4, 6)
         assert exc.value.distinct == 3
 
+    def test_equal_element_sets_are_equal(self):
+        # A progression is its element set, whichever pair generated it.
+        assert make_progression(12, 0, 4, 3) == make_progression(12, 4, 4, 3)
+        assert make_progression(12, 8, 4, 3) in enumerate_progressions(12, 3)
+
 
 class TestEnumerateProgressions:
     def test_full_ring_collapses_to_one(self):
@@ -100,11 +105,8 @@ class TestEnumerateProgressions:
     def test_dedupe_matches_brute_force(self, n):
         for k in range(3, n + 1):
             progs = enumerate_progressions(n, k)
-            ours = {frozenset(p.elements) for p in progs}
-            assert ours == helpers.brute_progression_sets(n, k)
-            # Sorted by elements, with the (smallest d, then t) witness.
-            assert [(p.elements, p.witnessed_base, p.witnessed_diff)
-                    for p in progs] == helpers.brute_progression_witnesses(n, k)
+            assert [p.elements for p in progs] == sorted(
+                tuple(sorted(e)) for e in helpers.brute_progression_sets(n, k))
             masks = edge_masks(n, k)
             assert masks == [sum(1 << v for v in p.elements) for p in progs]
             assert set(masks) == set(helpers.edge_masks(n, k))
@@ -115,10 +117,11 @@ class TestEnumerateProgressions:
             for k in (3, 4, 5):
                 if k > n:
                     continue
-                for p in enumerate_progressions(n, k):
-                    d = p.witnessed_diff
-                    if d != 0 and n % d == 0:
-                        assert len({x % d for x in p.elements}) == 1
+                for d in canonical_diffs(n, k):
+                    if n % d == 0:
+                        for t in range(n):
+                            p = make_progression(n, t, d, k)
+                            assert len({x % d for x in p.elements}) == 1
 
 
 class TestFindContainedProgression:
@@ -181,7 +184,6 @@ class TestFindContainedProgression:
                 assert got is None, (n, k, sorted(s))
             else:
                 assert got is not None, (n, k, sorted(s))
-                assert (got.witnessed_base, got.witnessed_diff) == expected
                 t, d = expected
                 assert got.elements == tuple(
                     sorted((t + i * d) % n for i in range(k))
