@@ -154,6 +154,8 @@ def cmd_construct(args) -> Output:
 
 
 def cmd_exact(args) -> Output:
+    progressions._require(args.k >= 3, f"k must be >= 3, got {args.k}")
+    progressions._require(args.n >= 1, f"modulus must be positive, got {args.n}")
     if args.n > MAX_EXACT_N and not args.force:
         raise InvalidArgumentError(
             f"N={args.n} exceeds the exact-search cap {MAX_EXACT_N}; "

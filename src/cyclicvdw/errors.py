@@ -25,9 +25,9 @@ class DegenerateProgressionError(InvalidArgumentError):
 
 
 class BudgetExceededError(CyclicVdwError):
-    """A cap or budget ran out: an enumeration cap before the computation
-    could start, or the search budget of an `is_r_colorable` probe, which
-    then proves nothing either way."""
+    """A cap or budget ran out: the conjecture's modulus cap before the
+    computation could start, or the search budget of an `is_r_colorable`
+    probe, which then proves nothing either way."""
 
 
 class InternalInconsistencyError(CyclicVdwError):

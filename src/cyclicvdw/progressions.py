@@ -17,9 +17,8 @@ from .errors import (
 )
 from .serialize import record_dict
 
-# Enumeration refuses moduli above this unless explicitly overridden; the
-# returned list, up to N*|D| progressions of k elements each, is what eats
-# memory.
+# Enumeration refuses moduli above this; the returned list, up to N*|D|
+# progressions of k elements each, is what eats memory.
 DEFAULT_ENUMERATION_CAP = 10_000
 
 METHOD_BRUTE_FORCE = "brute_force"
@@ -86,14 +85,11 @@ def make_progression(modulus: int, base: int, diff: int, k: int) -> CyclicProgre
     return CyclicProgression(modulus, tuple(sorted(seen)))
 
 
-def enumerate_progressions(
-    modulus: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[CyclicProgression]:
+def enumerate_progressions(modulus: int, k: int) -> list[CyclicProgression]:
     """Every distinct k-term progression mod N, each element set exactly once.
 
-    Returns [] when k > N.  The list is sorted by element tuple, and
-    `edge_masks` and the search node counts that follow from it rely on
-    that order.
+    Returns [] when k > N.  The list is sorted by element tuple; the exact
+    searches take it as their edge order, and their node counts rely on it.
 
     Each progression P is S + min(P) for exactly one S containing 0 with
     max(S) < N - min(P), so only the family of progressions through 0 is
@@ -102,8 +98,8 @@ def enumerate_progressions(
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(
-        modulus <= cap,
-        f"modulus {modulus} exceeds enumeration cap {cap}; pass cap= to override",
+        modulus <= DEFAULT_ENUMERATION_CAP,
+        f"modulus {modulus} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}",
     )
     if k > modulus:
         return []
@@ -128,11 +124,6 @@ def enumerate_progressions(
         shifted = residues[a:]
         out += [CyclicProgression(modulus, pick(shifted)) for _, pick in rows]
     return out
-
-
-def edge_masks(modulus: int, k: int) -> list[int]:
-    """Bitmasks (bit v for residue v) of enumerate_progressions(N, k), in order."""
-    return [sum(1 << v for v in p.elements) for p in enumerate_progressions(modulus, k)]
 
 
 def find_contained_progression(
@@ -215,7 +206,9 @@ def check_conjecture(m: int, n: int, k: int, cap: int = 2000) -> ConjectureRepor
     """
     conj = conjectured_difference_set(m, n, k)
     if m * k > cap:
-        raise BudgetExceededError(f"modulus {m * k} exceeds enumeration cap {cap}")
+        raise BudgetExceededError(
+            f"modulus {m * k} exceeds the conjecture's modulus cap {cap}"
+        )
     brute = difference_gcd_set(m * k, n * k, METHOD_BRUTE_FORCE)
     return ConjectureReport(
         m, n, k, conj.values, brute.values, conj.values == brute.values

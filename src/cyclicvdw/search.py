@@ -1,11 +1,11 @@
 """Exact independence and chromatic numbers of the hypergraph of k-term
 cyclic progressions mod N, at small N.
 
-Independence uses vertex branch-and-bound over bitmask edges; colorability
-uses backtracking with the first vertex's color fixed.  Both respect node
-and wall-clock budgets.  Every witness and coloring they hand back has
-passed `is_free_witness` or `is_proper_coloring`, the same checks that
-re-verify cached answers.
+Independence uses vertex branch-and-bound over the enumerated progressions;
+colorability uses backtracking with the first vertex's color fixed.  Both
+respect node and wall-clock budgets.  Every witness and coloring they hand
+back has passed `is_free_witness` or `is_proper_coloring`, the same checks
+that re-verify cached answers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .coloring import find_violation
 from .construction import build_avoiding
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .progressions import _require, edge_masks, find_contained_progression
+from .progressions import _require, enumerate_progressions, find_contained_progression
 from .serialize import record_dict
 
 STATUS_EXACT = "exact"
@@ -76,26 +76,25 @@ def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
                                       for c in set(coloring)]) is None)
 
 
-def _edge_tables(n: int, edges: list[int]):
-    """Per-vertex masks over edge ids, where bit i stands for edges[i].
+def _edge_tables(n: int, k: int):
+    """Per-vertex masks over edge ids, where bit i stands for the i-th
+    progression of enumerate_progressions(n, k).
 
     keep[v] holds the edges not through v, top[v] the edges whose largest
-    vertex is v, and verts[i] the vertices of edges[i], largest first.
+    vertex is v, and verts[i] the vertices of edge i, largest first.  This
+    is the one check of (N, k) for the exact searches.
     """
+    _require(n >= 1, f"modulus must be positive, got {n}")
     touch = [0] * n
     top = [0] * n
     verts = []
-    for i, e in enumerate(edges):
+    for i, p in enumerate(enumerate_progressions(n, k)):
         bit = 1 << i
-        vs = []
-        while e:
-            v = e.bit_length() - 1
-            vs.append(v)
+        for v in p.elements:
             touch[v] |= bit
-            e ^= 1 << v
-        top[vs[0]] |= bit
-        verts.append(vs)
-    full = (1 << len(edges)) - 1
+        top[p.elements[-1]] |= bit
+        verts.append(p.elements[::-1])
+    full = (1 << len(verts)) - 1
     return [full ^ t for t in touch], top, verts
 
 
@@ -127,18 +126,15 @@ def independence_number(
     and Z_N minus the forbidden-set construction seeds the incumbent when
     k | N.
     """
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     budget = budget or SearchBudget()
     start = time.monotonic()
     n = modulus
+    keep, top, verts = _edge_tables(n, k)
     if k > n:
         return IndependenceResult(
             n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
         )
-    edges = edge_masks(n, k)
-    keep, top, verts = _edge_tables(n, edges)
-    full = (1 << len(edges)) - 1
+    full = (1 << len(verts)) - 1
     best_mask = _greedy_independent(n, full, keep, top)
     if n % k == 0:
         avoiding = build_avoiding(n // k, k)
@@ -212,11 +208,8 @@ def is_r_colorable(
     vertex.  The coloring passes `is_proper_coloring` before it is handed
     back; a budget kill raises BudgetExceededError, never a refutation.
     """
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     _require(r >= 1, f"r must be positive, got {r}")
-    tables = _edge_tables(modulus, edge_masks(modulus, k))
-    return _colorable(modulus, k, r, budget, tables)
+    return _colorable(modulus, k, r, budget, _edge_tables(modulus, k))
 
 
 def _colorable(
@@ -269,9 +262,7 @@ def chromatic_number(
     The edges and their tables are built once and shared by every probe.
     Exact only when every smaller r was refuted rather than budget-killed.
     """
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
-    tables = _edge_tables(modulus, edge_masks(modulus, k))
+    tables = _edge_tables(modulus, k)
     all_refuted = True
     for r in range(1, modulus + 1):
         try:

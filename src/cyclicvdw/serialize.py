@@ -20,8 +20,11 @@ def residues_to_text(residues) -> str:
 
 
 def parse_residues(text: str) -> tuple[int, ...]:
-    """Parse comma-separated ASCII decimal residues, strictly increasing."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    """Parse comma-separated ASCII decimal residues, strictly increasing.
+    Blank text is the empty set; an empty field anywhere else is an error."""
+    if not text.strip():
+        return ()
+    parts = [p.strip() for p in text.split(",")]
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise InvalidArgumentError(f"residues must be decimal digits: {text!r}")
     try:

@@ -190,9 +190,11 @@ class TestSerialize:
         with pytest.raises(InvalidArgumentError):
             parse_residues("-1,2")
 
-    @pytest.mark.parametrize("text", ["0,1_0", "+3", "0,\u0663", "\uff11,2"])
+    @pytest.mark.parametrize("text", ["0,1_0", "+3", "0,\u0663", "\uff11,2",
+                                      "0,,3", "0,3,", ",0,3", ","])
     def test_rejects_non_decimal_residues(self, text):
-        # int() would read these, e.g. "1_0" as 10 and U+0663 as 3.
+        # int() would read some of these, e.g. "1_0" as 10 and U+0663 as 3;
+        # an empty field must not be dropped, or "0,,3" would read as (0, 3).
         with pytest.raises(InvalidArgumentError):
             parse_residues(text)
 
@@ -504,6 +506,15 @@ class TestExactCommand:
             code, out, err = run(capsys, "exact", "--n", "-3", "--k", "3",
                                  "--what", what)
             assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("what,answer", [("b", "witness"), ("chi", "coloring")])
+    def test_cached_record_does_not_skip_argument_checks(self, capsys, tmp_path,
+                                                         what, answer):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(exact_record(what, 0, 3, value=0, **{answer: []}))
+        code, out, err = run(capsys, "exact", "--n", "0", "--k", "3",
+                             "--what", what, "--cache", str(cache))
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 class TestPartitionCommand:

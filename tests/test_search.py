@@ -4,6 +4,7 @@ import pytest
 
 from cyclicvdw import (
     BudgetExceededError,
+    CyclicProgression,
     InternalInconsistencyError,
     InvalidArgumentError,
     SearchBudget,
@@ -67,7 +68,8 @@ class TestIndependenceNumber:
     def test_witness_from_missing_edges_is_caught(self, monkeypatch):
         # A search that sees only the edge {0,1,2} returns a set holding
         # 0,3,6; the witness check must refuse to hand it back.
-        monkeypatch.setattr(search, "edge_masks", lambda n, k: [0b111])
+        monkeypatch.setattr(search, "enumerate_progressions",
+                            lambda n, k: [CyclicProgression(n, (0, 1, 2))])
         with pytest.raises(InternalInconsistencyError):
             independence_number(9, 3)
 
@@ -88,6 +90,10 @@ class TestIndependenceNumber:
             independence_number(12, 2)
         with pytest.raises(InvalidArgumentError):
             independence_number(0, 3)
+        with pytest.raises(InvalidArgumentError):
+            chromatic_number(12, 2)
+        with pytest.raises(InvalidArgumentError):
+            is_r_colorable(12, 2, 2)
         with pytest.raises(InvalidArgumentError):
             SearchBudget(max_nodes=0)
 
@@ -128,7 +134,8 @@ class TestColorability:
     def test_coloring_from_missing_edges_is_caught(self, monkeypatch):
         # A search that sees only the edge {0,1,2} returns a 2-coloring with
         # {3,4,5} monochromatic; the class check must refuse to hand it back.
-        monkeypatch.setattr(search, "edge_masks", lambda n, k: [0b111])
+        monkeypatch.setattr(search, "enumerate_progressions",
+                            lambda n, k: [CyclicProgression(n, (0, 1, 2))])
         with pytest.raises(InternalInconsistencyError):
             is_r_colorable(9, 3, 2)
 
