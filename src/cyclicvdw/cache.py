@@ -12,11 +12,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .search import STATUS_EXACT
 from .serialize import record_dict
 
 TOOL_VERSION = "0.1.0"
-
-_EXACT_STATUSES = {"exact"}
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class ResultsCache:
         old = self._records.get(ck)
         if (
             old is not None
-            and old.status in _EXACT_STATUSES
-            and rec.status not in _EXACT_STATUSES
+            and old.status == STATUS_EXACT
+            and rec.status != STATUS_EXACT
         ):
             return False
         self._records[ck] = rec

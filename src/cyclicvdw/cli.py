@@ -21,7 +21,6 @@ from itertools import product
 from . import coloring, construction, progressions, search
 from .cache import ResultsCache
 from .errors import (
-    BudgetExceededError,
     InternalInconsistencyError,
     InvalidArgumentError,
 )
@@ -32,9 +31,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 MAX_EXACT_N = 40
-
-# Failures of the caller's input: exit 2, or one row's error in a sweep.
-PRECONDITION_ERRORS = (InvalidArgumentError, BudgetExceededError)
 
 
 def parse_range(text: str) -> list[int]:
@@ -229,7 +225,7 @@ def cmd_sweep(args) -> Output:
     for k, m in product(ks, ms):
         try:
             row = {"k": k, "m": m, **cell(m, k, cache), "error": ""}
-        except PRECONDITION_ERRORS as exc:  # stays in the row
+        except InvalidArgumentError as exc:  # stays in the row
             row = {**dict.fromkeys(fields, ""), "k": k, "m": m, **failed(m),
                    "error": str(exc)}
         rows.append({f: row[f] for f in fields})
@@ -251,11 +247,8 @@ def cmd_conjecture(args) -> Output:
         row.update(k=k, m=m, n=n, status="rejected")
         rows.append(row)
         try:
-            rep = progressions.check_conjecture(m, n, k, cap=args.cap)
+            rep = progressions.check_conjecture(m, n, k)
         except InvalidArgumentError:
-            continue
-        except BudgetExceededError:
-            row["status"] = "budget"
             continue
         row.update(
             status="agree" if rep.agrees else "disagree",
@@ -339,11 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=list(SWEEPS), required=True)
     p.add_argument("--cache", default=None)
 
-    p = command("conjecture", cmd_conjecture,
-                "compare conjectured D(mk,nk) to brute force",
-                ranges=dict.fromkeys(["m", "n", "k"], "inclusive range"))
-    p.add_argument("--cap", type=int, default=2000,
-                   help="refuse moduli mk above this")
+    command("conjecture", cmd_conjecture,
+            "compare conjectured D(mk,nk) to brute force",
+            ranges=dict.fromkeys(["m", "n", "k"], "inclusive range"))
 
     p = command("verify-file", cmd_verify_file,
                 "check residue-set file lines for progression-freeness",
@@ -363,7 +354,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         emit(args.func(args), args.format)
-    except (*PRECONDITION_ERRORS, OSError) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInconsistencyError as exc:

@@ -96,12 +96,10 @@ def gamma_parts(m: int, k: int) -> int:
 def build_partition(m: int, k: int) -> PartitionPlan:
     """Partition Z_mk into progression-free parts per the m-vs-k regime.
 
-    Every part is verified before the plan is returned; a verification
-    failure raises InternalInconsistencyError and is never silently passed
-    through.
+    The parts are checked to cover Z_mk and to be progression-free before
+    the plan is returned; a failed check raises InternalInconsistencyError
+    and is never silently passed through.
     """
-    _require(m >= 1, f"m must be positive, got {m}")
-    _require(k >= 3, f"k must be >= 3, got {k}")
     b = build_avoiding(m, k)
     f = build_forbidden(m, k).union
     if k > m:
@@ -127,7 +125,10 @@ def build_partition(m: int, k: int) -> PartitionPlan:
         parts = [("B", b), ("Fk'", fk1), ("Fk''", fk2)]
         parts += [(f"E_{i + 1}", chunk) for i, chunk in enumerate(chunks)]
         plan = PartitionPlan(m, k, REGIME_K_LT_M, tuple(parts), gamma)
-    violation = verify_partition(plan)
+    try:
+        violation = verify_partition(plan)
+    except InvalidArgumentError as exc:  # the plan is ours, so the bug is too
+        raise InternalInconsistencyError(f"the ({m},{k}) plan: {exc}") from None
     if violation is not None:
         raise InternalInconsistencyError(
             f"part {violation.part_label} of the ({m},{k}) partition contains "

@@ -84,13 +84,12 @@ class ProgressionClassWitness:
 
 def closed_diffs(m: int, k: int) -> tuple[int, ...]:
     """Sorted D(mk, k) = {g : 1 <= g <= m, g | k}."""
+    _require(m >= 1, f"m must be positive, got {m}")
     return difference_gcd_set(m * k, k, METHOD_CLOSED_FORM).values
 
 
 def build_forbidden(m: int, k: int) -> ForbiddenSet:
     """Assemble the blocked set F of Z_mk whose complement is progression-free."""
-    _require(m >= 1, f"m must be positive, got {m}")
-    _require(k >= 3, f"k must be >= 3, got {k}")
     n = m * k
     diffs = closed_diffs(m, k)
     blocks = []
@@ -108,8 +107,6 @@ def build_forbidden(m: int, k: int) -> ForbiddenSet:
 
 def forbidden_size_formula(m: int, k: int) -> int:
     """|F| = sum over D(mk,k) of (d_i - d_{i-1}) * (m - d_i + 1)."""
-    _require(m >= 1, f"m must be positive, got {m}")
-    _require(k >= 3, f"k must be >= 3, got {k}")
     total = 0
     prev = 0
     for d in closed_diffs(m, k):

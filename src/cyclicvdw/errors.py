@@ -25,9 +25,7 @@ class DegenerateProgressionError(InvalidArgumentError):
 
 
 class BudgetExceededError(CyclicVdwError):
-    """A cap or budget ran out: the conjecture's modulus cap before the
-    computation could start, or the search budget of an `is_r_colorable`
-    probe, which then proves nothing either way."""
+    """A search budget ran out; the search proves nothing either way."""
 
 
 class InternalInconsistencyError(CyclicVdwError):

@@ -11,7 +11,6 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import (
-    BudgetExceededError,
     DegenerateProgressionError,
     InvalidArgumentError,
 )
@@ -19,7 +18,7 @@ from .serialize import record_dict
 
 # Enumeration refuses moduli above this; the returned list, up to N*|D|
 # progressions of k elements each, is what eats memory.
-DEFAULT_ENUMERATION_CAP = 10_000
+ENUMERATION_CAP = 10_000
 
 METHOD_BRUTE_FORCE = "brute_force"
 METHOD_CLOSED_FORM = "closed_form"
@@ -98,8 +97,8 @@ def enumerate_progressions(modulus: int, k: int) -> list[CyclicProgression]:
     """
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(
-        modulus <= DEFAULT_ENUMERATION_CAP,
-        f"modulus {modulus} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}",
+        modulus <= ENUMERATION_CAP,
+        f"modulus {modulus} exceeds the enumeration limit {ENUMERATION_CAP}",
     )
     if k > modulus:
         return []
@@ -198,17 +197,12 @@ class ConjectureReport:
     agrees: bool
 
 
-def check_conjecture(m: int, n: int, k: int, cap: int = 2000) -> ConjectureReport:
+def check_conjecture(m: int, n: int, k: int) -> ConjectureReport:
     """Compare the conjectured D(mk, nk) to brute force over Z_mk.
 
-    The brute force uses progression length nk and modulus mk; refuses moduli
-    above `cap`.
+    The brute force uses progression length nk and modulus mk.
     """
     conj = conjectured_difference_set(m, n, k)
-    if m * k > cap:
-        raise BudgetExceededError(
-            f"modulus {m * k} exceeds the conjecture's modulus cap {cap}"
-        )
     brute = difference_gcd_set(m * k, n * k, METHOD_BRUTE_FORCE)
     return ConjectureReport(
         m, n, k, conj.values, brute.values, conj.values == brute.values

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tempfile
@@ -29,6 +30,18 @@ RESIDUE_FILE = "# trial sets mod 12\n0,1,2,4,5,8,9\n0,3,6,9\n"
 INCOMPLETE_EXACT_B9 = json.dumps({"key": {"op": "exact", "n": 9, "k": 3, "what": "b"},
                                   "status": "exact", "value": {}}) + "\n"
 
+
+
+def drop_first_forbidden(monkeypatch):
+    """Make `build_partition` build an F without its first element, so its
+    parts no longer cover Z_mk."""
+    real = construction.build_forbidden
+
+    def short(m, k):
+        forb = real(m, k)
+        return dataclasses.replace(forb, union=forb.union[1:])
+
+    monkeypatch.setattr(coloring, "build_forbidden", short)
 
 
 def exact_record(what, n, k, **value):
@@ -534,6 +547,12 @@ class TestPartitionCommand:
         assert [p["label"] for p in payload["parts"]] == \
             ["B", "Fk'", "Fk''", "E_1", "E_2", "E_3"]
 
+    def test_non_covering_plan_exits_three(self, capsys, monkeypatch):
+        drop_first_forbidden(monkeypatch)
+        code, out, err = run(capsys, "partition", "--m", "3", "--k", "4")
+        assert code == 3 and out == ""
+        assert err.startswith("internal verification failure:")
+
 
 class TestSweepCommand:
     def test_bounds_csv(self, capsys):
@@ -601,6 +620,13 @@ class TestSweepCommand:
                            "--what", "partition")
         assert code == 3 and err.startswith("internal verification failure:")
 
+    @pytest.mark.parametrize("what", ["partition", "wc"])
+    def test_non_covering_plan_exits_three(self, capsys, monkeypatch, what):
+        drop_first_forbidden(monkeypatch)
+        code, _, err = run(capsys, "sweep", "--k", "4", "--m", "3",
+                           "--what", what)
+        assert code == 3 and err.startswith("internal verification failure:")
+
     def test_rejects_small_k(self, capsys):
         code, _, err = run(capsys, "sweep", "--k", "2..3", "--m", "1",
                            "--what", "bounds")
@@ -623,13 +649,16 @@ class TestConjectureCommand:
         assert "disagree" in out
         assert "differing_gcds={3}" in out
 
-    def test_rejected_and_budget_rows(self, capsys):
+    def test_rejected_rows_and_no_modulus_cap(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--m", "2", "--n", "3",
                            "--k", "3", "--format", "csv")
         assert code == 0 and ",rejected," in out
-        code, out, _ = run(capsys, "conjecture", "--m", "100", "--n", "1",
-                           "--k", "30", "--cap", "500", "--format", "csv")
-        assert code == 0 and ",budget," in out
+        argv = ["conjecture", "--m", "100", "--n", "1", "--k", "30",
+                "--format", "csv"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and ",agree," in out
+        code, _, _ = run(capsys, *argv, "--cap", "500")
+        assert code == 2
 
     def test_summary_line(self, capsys):
         code, out, _ = run(capsys, "conjecture", "--m", "3..4", "--n", "1",

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 from cyclicvdw import (
+    InternalInconsistencyError,
     InvalidArgumentError,
     PartitionPlan,
     build_forbidden,
@@ -9,6 +12,7 @@ from cyclicvdw import (
     verify_partition,
     wc_lower_bounds,
 )
+from cyclicvdw import coloring
 from cyclicvdw.coloring import (
     PROV_THREE_COLORS,
     PROV_THREE_PLUS_GAMMA,
@@ -92,6 +96,16 @@ class TestBuildPartition:
                     assert plan.part_count == 3
                 else:
                     assert plan.part_count == 3 + gamma_parts(m, k)
+
+    def test_non_covering_plan_is_internal_failure(self, monkeypatch):
+        # An F short of its first element leaves a residue in no part.
+        def short(m, k):
+            forb = build_forbidden(m, k)
+            return dataclasses.replace(forb, union=forb.union[1:])
+
+        monkeypatch.setattr(coloring, "build_forbidden", short)
+        with pytest.raises(InternalInconsistencyError, match="do not partition"):
+            build_partition(3, 4)
 
 
 class TestVerifyPartition:

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from cyclicvdw import (
     InvalidArgumentError,
     build_avoiding,
     build_forbidden,
+    build_partition,
     find_contained_progression,
     forbidden_size_formula,
     make_progression,
@@ -48,9 +51,20 @@ class TestBuildForbidden:
                     seen |= set(block)
                 assert len(seen) == forbidden_size_formula(m, k), (m, k)
 
-    def test_rejects_small_k(self):
-        with pytest.raises(InvalidArgumentError):
-            build_forbidden(3, 2)
+    @pytest.mark.parametrize("m,k,message", [
+        pytest.param(0, 3, "m must be positive, got 0", id="m0-k3"),
+        pytest.param(-2, 4, "m must be positive, got -2", id="m-2-k4"),
+        pytest.param(0, 2, "m must be positive, got 0", id="m0-k2"),
+        pytest.param(3, 2, "k must be >= 3, got 2", id="m3-k2"),
+    ])
+    @pytest.mark.parametrize("entry", [
+        build_forbidden, build_avoiding, forbidden_size_formula, theorem_bounds,
+        build_partition,
+    ], ids=lambda f: f.__name__)
+    def test_rejects_small_k(self, entry, m, k, message):
+        # The m check comes before the k check at every entry point.
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            entry(m, k)
 
 
 class TestSizeFormula:

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclicvdw import (
-    BudgetExceededError,
     DegenerateProgressionError,
     InvalidArgumentError,
     canonical_diffs,
@@ -247,6 +246,6 @@ class TestConjecture:
         assert rep.brute_force == (1, 3)
         assert not rep.agrees
 
-    def test_cap(self):
-        with pytest.raises(BudgetExceededError):
-            check_conjecture(100, 1, 30, cap=500)
+    def test_large_modulus_is_brute_forced(self):
+        # mk = 3,000: the brute force runs for every modulus, with no cap.
+        assert check_conjecture(100, 1, 30).agrees
