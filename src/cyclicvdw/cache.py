@@ -6,6 +6,7 @@ Exact results are never displaced by bound-only reruns of the same key.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -84,6 +85,8 @@ class ResultsCache:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             text = json.dumps(rec.to_dict(), sort_keys=True) + "\n"
             with self.path.open("ab+") as fh:
+                # One writer at a time, so the end seen below stays the end.
+                fcntl.flock(fh, fcntl.LOCK_EX)
                 # A record glued onto a torn line would not load: start a fresh one.
                 size = fh.seek(0, os.SEEK_END)
                 if size:

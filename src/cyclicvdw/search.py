@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from .coloring import find_violation
 from .construction import build_avoiding
@@ -121,10 +122,19 @@ def independence_number(
     edge of a greedy packing: take the lowest alive edge id, drop every edge
     sharing one of its undecided vertices, and repeat.  That is the packing
     of edges with pairwise-disjoint undecided parts taken in edge order, so
-    the tree and its node count follow from the edge order alone.  Vertex 0
-    is excluded up front (translates of independent sets are independent),
-    and Z_N minus the forbidden-set construction seeds the incumbent when
-    k | N.
+    the tree and its node count follow from the edge order alone.  Z_N minus
+    the forbidden-set construction seeds the incumbent when k | N.
+
+    The tree is split by the maps x -> ux + t, u a unit mod N, which carry
+    progressions to progressions and keep gcd(x, N).  Translate a maximum
+    set so that its complement C holds 0, let g be the least gcd(x, N) over
+    the rest of C, and multiply by a unit taking such an x to g: the image
+    excludes 0 and g and includes every x with gcd(x, N) < g.  So one branch
+    per proper divisor g of N, in increasing g, searching only such sets,
+    covers every maximum set whose complement is not {0}; that one case
+    (k = N, no edge avoids 0) is answered directly.  The incumbent carries
+    from branch to branch, and the node and wall-clock budgets cover the
+    whole call.
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -135,7 +145,11 @@ def independence_number(
             n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
         )
     full = (1 << len(verts)) - 1
-    best_mask = _greedy_independent(n, full, keep, top)
+    if full & keep[0]:
+        best_mask = _greedy_independent(n, full, keep, top)
+        divisors = [g for g in range(1, n // 2 + 1) if n % g == 0]
+    else:  # k = N: Z_N is the only edge, so Z_N minus 0 is maximum
+        best_mask, divisors = (1 << n) - 2, []
     if n % k == 0:
         avoiding = build_avoiding(n // k, k)
         if len(avoiding) > bin(best_mask).count("1"):
@@ -174,13 +188,16 @@ def independence_number(
             return
         if not alive & top[idx]:
             rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive)
-        rec(idx + 1, inc_mask, inc_count, alive & keep[idx])
+        if not forced >> idx & 1:
+            rec(idx + 1, inc_mask, inc_count, alive & keep[idx])
 
-    # Fix 0 out of the independent set; some maximum set excludes a vertex
-    # (k <= N, so {0, ..., k-1} is an edge) and every translate of an
-    # independent set is independent.
     try:
-        rec(1, 0, 0, full & keep[0])
+        for g in divisors:
+            # 0 and g out, 1..g-1 in; later x with gcd(x, N) < g are forced in.
+            forced = sum(1 << x for x in range(1, n) if gcd(x, n) < g)
+            alive = full & keep[0] & keep[g]
+            if not any(alive & top[x] for x in range(1, g)):
+                rec(g + 1, (1 << g) - 2, g - 1, alive)
         status = STATUS_EXACT
     except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY

@@ -1,7 +1,9 @@
 import dataclasses
+import fcntl
 import io
 import json
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,22 @@ class TestResultsCache:
         cache.put({"a": 1, "b": 2}, "exact", {})
         assert cache.get({"b": 2, "a": 1}) is not None
 
+    def test_append_waits_for_the_file_lock(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("")
+        key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
+        with path.open("ab") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            writer = threading.Thread(
+                target=ResultsCache(path).put, args=(key, "exact", {"value": 7}))
+            writer.start()
+            writer.join(0.3)
+            assert writer.is_alive() and path.read_text() == ""
+            fcntl.flock(holder, fcntl.LOCK_UN)
+            writer.join(10)
+        assert not writer.is_alive()
+        assert ResultsCache(path).get(key).value == {"value": 7}
+
     def test_torn_last_line_is_skipped_and_repaired(self, capsys, tmp_path):
         path = tmp_path / "cache.jsonl"
         run(capsys, "exact", "--n", "9", "--k", "3", "--what", "b",
@@ -433,7 +451,7 @@ class TestExactCommand:
                            "--what", "b", "--format", "json")
         doc = json.loads(out)
         assert code == 0 and isinstance(doc.pop("elapsed"), float)
-        assert doc == {"k": 4, "modulus": 12, "nodes_explored": 30,
+        assert doc == {"k": 4, "modulus": 12, "nodes_explored": 24,
                        "status": "exact", "value": 7,
                        "witness": [0, 1, 2, 4, 5, 8, 9]}
 

@@ -26,7 +26,11 @@ def assert_proper(n, k, coloring):
 
 
 class TestIndependenceNumber:
-    @pytest.mark.parametrize("n,k,expected", [(12, 4, 7), (9, 3, 4)])
+    @pytest.mark.parametrize("n,k,expected", [
+        (12, 4, 7), (9, 3, 4),
+        # Moduli with many divisors, so many branches of the search.
+        (24, 3, 8), (24, 4, 11), (24, 5, 16), (24, 6, 17), (30, 3, 8),
+    ])
     def test_frozen_values(self, n, k, expected):
         res = independence_number(n, k)
         assert res.value == expected
@@ -78,6 +82,20 @@ class TestIndependenceNumber:
         assert res.status == STATUS_LOWER_BOUND_ONLY
         assert res.value >= 1
         assert not helpers.contains_progression(res.witness, 21, 3)
+
+    def test_budget_kill_after_first_branch_keeps_its_incumbent(self):
+        # The g = 1 branch of b(30,3) ends at node 24,354 of 24,445, so a
+        # budget one node short of the whole tree runs out in a later branch.
+        whole = independence_number(30, 3)
+        assert whole.status == STATUS_EXACT
+        max_nodes = whole.nodes_explored - 1
+        res = independence_number(30, 3, SearchBudget(max_nodes=max_nodes))
+        assert res.status == STATUS_LOWER_BOUND_ONLY
+        assert res.nodes_explored == max_nodes + 1
+        assert res.value == whole.value
+        assert search.is_free_witness(30, 3, res.value, res.witness)
+        res = independence_number(30, 3, SearchBudget(max_nodes=max_nodes + 1))
+        assert res.status == STATUS_EXACT
 
     def test_deterministic(self):
         a = independence_number(15, 3)
@@ -174,18 +192,18 @@ class TestChromaticNumber:
 # color order changes some of these.
 PINNED_BUDGET = SearchBudget(max_nodes=30_000)
 PINNED_B = {
-    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_LOWER_BOUND_ONLY, 30001),
-    (32, 4): (13, (1, 2, 3, 5, 6, 8, 9, 10, 16, 21, 24, 25, 26),
+    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 24445),
+    (32, 4): (13, (2, 3, 4, 6, 7, 9, 10, 11, 17, 22, 25, 26, 27),
               STATUS_LOWER_BOUND_ONLY, 30001),
-    (40, 8): (29, (1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19,
-                   20, 23, 24, 25, 26, 27, 28, 33, 34, 35, 36, 37),
+    (40, 8): (29, (2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 18, 19,
+                   20, 21, 24, 25, 26, 27, 28, 29, 34, 35, 36, 37, 38),
               STATUS_LOWER_BOUND_ONLY, 30001),
-    (36, 6): (22, (1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 18, 19, 20, 21,
-                   23, 27, 30, 31, 32), STATUS_LOWER_BOUND_ONLY, 30001),
-    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 515),
-    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 1311),
-    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 1260),
-    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 3449),
+    (36, 6): (22, (2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 19, 20, 21,
+                   22, 24, 28, 31, 32, 33), STATUS_LOWER_BOUND_ONLY, 30001),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 343),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 610),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 448),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 1440),
 }
 PINNED_CHI = {
     (20, 3): (4, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 1, 2, 2, 3, 3),
@@ -217,6 +235,8 @@ def test_searches_leave_no_cyclic_garbage():
     try:
         independence_number(20, 4)
         chromatic_number(17, 3)
+        res = independence_number(30, 3, SearchBudget(max_nodes=10))
+        assert res.status == STATUS_LOWER_BOUND_ONLY
         with pytest.raises(BudgetExceededError):
             is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
         assert gc.collect() == 0
