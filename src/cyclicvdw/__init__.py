@@ -9,7 +9,6 @@ from .coloring import (
     WcBoundRow,
     build_partition,
     split_alternating,
-    verify_partition,
     wc_lower_bounds,
 )
 from .construction import (
@@ -87,7 +86,6 @@ __all__ = [
     "make_progression",
     "split_alternating",
     "theorem_bounds",
-    "verify_partition",
     "wc_lower_bounds",
     "witness_class",
 ]

@@ -86,8 +86,8 @@ def _open_cache(path) -> ResultsCache | None:
 def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
     """The cached value for `key` if exact and re-verified; anything else is a
     miss.  The witness or coloring must pass the check that a fresh search
-    answer passes: `search.is_free_witness` for b, `search.is_proper_coloring`
-    for chi."""
+    answer passes: `progressions.is_free_witness` for b,
+    `progressions.is_proper_coloring` for chi."""
     rec = cache.get(key) if cache is not None else None
     if rec is None or rec.status != search.STATUS_EXACT:
         return None
@@ -97,9 +97,9 @@ def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
             and (modulus, length) == (n, k) and value.get("status") == rec.status):
         return None
     if key["what"] == "b":
-        ok = search.is_free_witness(n, k, size, value.get("witness"))
+        ok = progressions.is_free_witness(n, k, size, value.get("witness"))
     else:
-        ok = search.is_proper_coloring(n, k, size, value.get("coloring"))
+        ok = progressions.is_proper_coloring(n, k, size, value.get("coloring"))
     return value if ok else None
 
 
@@ -134,13 +134,10 @@ def cmd_construct(args) -> Output:
              f" <= {bounds.upper}"]
     if args.verify:
         avoiding = construction.build_avoiding(args.m, args.k)
-        hit = progressions.find_contained_progression(
-            avoiding, forb.modulus, args.k
-        )
-        if hit is not None:
+        if not progressions.is_free_witness(forb.modulus, args.k,
+                                            len(avoiding), avoiding):
             raise InternalInconsistencyError(
-                f"avoiding set contains {residues_to_text(hit.elements)}"
-            )
+                f"Z_{forb.modulus} \\ F is not progression-free")
         doc["verified"] = True
         text.append("verify: pass")
     row = {"m": forb.m, "k": forb.k, "modulus": forb.modulus,

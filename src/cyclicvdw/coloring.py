@@ -2,8 +2,8 @@
 
 Three regimes by the relation of m and k: two parts (B, F) when k > m,
 three parts (B, F', F'') when k = m via the alternating split of F, and
-3 + ceil((m-k)k/(k-1)) parts when k < m.  Each verified partition of Z_mk
-into progression-free parts pushes a strict lower bound on W_c(k, r).
+3 + ceil((m-k)k/(k-1)) parts when k < m.  A plan is checked as the coloring
+it is; each verified one pushes a strict lower bound on W_c(k, r).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import ceil
 
 from .construction import build_avoiding, build_forbidden
-from .errors import InternalInconsistencyError, InvalidArgumentError
-from .progressions import _require, find_contained_progression
+from .errors import InternalInconsistencyError
+from .progressions import _require, is_proper_coloring
 from .serialize import record_dict
 
 REGIME_K_GT_M = "k_gt_m"
@@ -58,12 +58,6 @@ class PartitionPlan:
 
 
 @dataclass(frozen=True)
-class PartitionViolation:
-    part_label: str
-    witness: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class WcBoundRow:
     """A strict lower bound W_c(k, r) > strict_lower and the result behind it."""
 
@@ -96,9 +90,9 @@ def gamma_parts(m: int, k: int) -> int:
 def build_partition(m: int, k: int) -> PartitionPlan:
     """Partition Z_mk into progression-free parts per the m-vs-k regime.
 
-    The parts are checked to cover Z_mk and to be progression-free before
-    the plan is returned; a failed check raises InternalInconsistencyError
-    and is never silently passed through.
+    The plan is checked as the coloring giving x the index of its part: the
+    part sizes must add up to mk, so no two parts overlap, and the coloring
+    must pass `is_proper_coloring`.  A failure raises InternalInconsistencyError.
     """
     b = build_avoiding(m, k)
     f = build_forbidden(m, k).union
@@ -125,35 +119,14 @@ def build_partition(m: int, k: int) -> PartitionPlan:
         parts = [("B", b), ("Fk'", fk1), ("Fk''", fk2)]
         parts += [(f"E_{i + 1}", chunk) for i, chunk in enumerate(chunks)]
         plan = PartitionPlan(m, k, REGIME_K_LT_M, tuple(parts), gamma)
-    try:
-        violation = verify_partition(plan)
-    except InvalidArgumentError as exc:  # the plan is ours, so the bug is too
-        raise InternalInconsistencyError(f"the ({m},{k}) plan: {exc}") from None
-    if violation is not None:
+    n = m * k
+    part_of = {x: i for i, (_, elems) in enumerate(plan.parts) for x in elems}
+    color = [part_of.get(x, -1) for x in range(n)]
+    if (sum(len(elems) for _, elems in plan.parts) != n
+            or not is_proper_coloring(n, k, plan.part_count, color)):
         raise InternalInconsistencyError(
-            f"part {violation.part_label} of the ({m},{k}) partition contains "
-            f"progression {violation.witness}"
-        )
+            f"the ({m},{k}) parts do not partition Z_{n} into free parts")
     return plan
-
-
-def find_violation(modulus: int, k: int, parts) -> PartitionViolation | None:
-    """First (label, residues) part containing a k-term progression mod N,
-    or None if every part is progression-free."""
-    for label, elems in parts:
-        hit = find_contained_progression(elems, modulus, k)
-        if hit is not None:
-            return PartitionViolation(label, hit.elements)
-    return None
-
-
-def verify_partition(plan: PartitionPlan) -> PartitionViolation | None:
-    """First progression-containing part of the plan, or None if all are free."""
-    n = plan.modulus
-    total = [x for _, elems in plan.parts for x in elems]
-    if len(total) != n or set(total) != set(range(n)):
-        raise InvalidArgumentError("parts do not partition Z_mk")
-    return find_violation(n, plan.k, plan.parts)
 
 
 def wc_lower_bounds(k: int, m_max: int) -> list[WcBoundRow]:

@@ -6,6 +6,7 @@ A progression is identified by its element set, never by a particular
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
@@ -154,6 +155,29 @@ def find_contained_progression(
         else:
             return make_progression(modulus, (hits & -hits).bit_length() - 1, d, k)
     return None
+
+
+def is_free_witness(n: int, k: int, size: int, witness) -> bool:
+    """True iff `witness` is a list or tuple of `size` distinct int residues
+    below n holding no k-term progression mod n."""
+    return (isinstance(witness, (list, tuple))
+            and all(type(x) is int and 0 <= x < n for x in witness)
+            and len(set(witness)) == len(witness) == size
+            and find_contained_progression(witness, n, k) is None)
+
+
+def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
+    """True iff `coloring` is a list or tuple of n int entries in
+    range(colors) with no monochromatic k-term progression mod n."""
+    if not isinstance(coloring, (list, tuple)) or len(coloring) != n:
+        return False
+    classes: defaultdict[int, list[int]] = defaultdict(list)
+    for x, c in enumerate(coloring):
+        if type(c) is not int or not 0 <= c < colors:
+            return False
+        classes[c].append(x)
+    return all(find_contained_progression(part, n, k) is None
+               for part in classes.values())
 
 
 def difference_gcd_set(

@@ -4,8 +4,8 @@ cyclic progressions mod N, at small N.
 Independence uses vertex branch-and-bound over the enumerated progressions;
 colorability uses backtracking with the first vertex's color fixed.  Both
 respect node and wall-clock budgets.  Every witness and coloring they hand
-back has passed `is_free_witness` or `is_proper_coloring`, the same checks
-that re-verify cached answers.
+back has passed `progressions.is_free_witness` or `is_proper_coloring`, the
+checks that also re-verify cached answers and partition plans.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .coloring import find_violation
 from .construction import build_avoiding
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .progressions import _require, enumerate_progressions, find_contained_progression
+from .progressions import (
+    _require, enumerate_progressions, is_free_witness, is_proper_coloring,
+)
 from .serialize import record_dict
 
 STATUS_EXACT = "exact"
@@ -57,24 +58,6 @@ class ColoringResult:
     status: str
 
     to_dict = record_dict
-
-
-def is_free_witness(n: int, k: int, size: int, witness) -> bool:
-    """True iff `witness` is a list or tuple of `size` distinct int residues
-    below n holding no k-term progression mod n."""
-    return (isinstance(witness, (list, tuple))
-            and all(type(x) is int and 0 <= x < n for x in witness)
-            and len(set(witness)) == len(witness) == size
-            and find_contained_progression(witness, n, k) is None)
-
-
-def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
-    """True iff `coloring` is a list or tuple of n int entries in
-    range(colors) with no monochromatic k-term progression mod n."""
-    return (isinstance(coloring, (list, tuple)) and len(coloring) == n
-            and all(type(c) is int and 0 <= c < colors for c in coloring)
-            and find_violation(n, k, [(c, [v for v in range(n) if coloring[v] == c])
-                                      for c in set(coloring)]) is None)
 
 
 def _edge_tables(n: int, k: int):
@@ -234,7 +217,7 @@ def _colorable(
 ) -> tuple[int, ...] | None:
     keep, top, verts = tables
     if not verts:
-        return tuple([0] * n)
+        return _checked_coloring(n, k, r, [0] * n)
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
     color = [-1] * n
@@ -266,6 +249,10 @@ def _colorable(
             return None
     finally:
         rec = None  # break the closure's self-reference
+    return _checked_coloring(n, k, r, color)
+
+
+def _checked_coloring(n: int, k: int, r: int, color) -> tuple[int, ...]:
     if not is_proper_coloring(n, k, r, color):
         raise InternalInconsistencyError(f"improper {r}-coloring {color} of Z_{n}")
     return tuple(color)
@@ -277,21 +264,21 @@ def chromatic_number(
     """Smallest r admitting a proper r-coloring, trying r = 1, 2, ...
 
     The edges and their tables are built once and shared by every probe.
-    Exact only when every smaller r was refuted rather than budget-killed.
+    The budget applies per probe, each r with its own node count and deadline,
+    so a call can run up to about N times `budget.max_seconds`.  Exact only
+    when every smaller r was refuted rather than budget-killed.
     """
     tables = _edge_tables(modulus, k)
-    all_refuted = True
+    status = STATUS_EXACT
     for r in range(1, modulus + 1):
         try:
             coloring = _colorable(modulus, k, r, budget, tables)
         except BudgetExceededError:
-            all_refuted = False
+            status = STATUS_UPPER_BOUND_ONLY
             continue
         if coloring is not None:
-            status = STATUS_EXACT if all_refuted else STATUS_UPPER_BOUND_ONLY
             return ColoringResult(modulus, k, r, coloring, status)
     # Distinct colors are always proper for k >= 3; reachable only if every
     # probe up to r = N was budget-killed.
-    return ColoringResult(
-        modulus, k, modulus, tuple(range(modulus)), STATUS_UPPER_BOUND_ONLY
-    )
+    distinct = _checked_coloring(modulus, k, modulus, tuple(range(modulus)))
+    return ColoringResult(modulus, k, modulus, distinct, STATUS_UPPER_BOUND_ONLY)

@@ -5,11 +5,9 @@ import pytest
 from cyclicvdw import (
     InternalInconsistencyError,
     InvalidArgumentError,
-    PartitionPlan,
     build_forbidden,
     build_partition,
     split_alternating,
-    verify_partition,
     wc_lower_bounds,
 )
 from cyclicvdw import coloring
@@ -107,20 +105,31 @@ class TestBuildPartition:
         with pytest.raises(InternalInconsistencyError, match="do not partition"):
             build_partition(3, 4)
 
+    def test_part_holding_a_progression_is_internal_failure(self, monkeypatch):
+        # B = Z_12 and F empty: the parts cover Z_12 once, but B is not free.
+        def empty(m, k):
+            return dataclasses.replace(build_forbidden(m, k), union=())
 
-class TestVerifyPartition:
-    def test_flags_monochromatic_part(self):
-        plan = PartitionPlan(3, 3, REGIME_K_GT_M, (("X", tuple(range(9))),))
-        violation = verify_partition(plan)
-        assert violation is not None and violation.part_label == "X"
+        monkeypatch.setattr(coloring, "build_avoiding",
+                            lambda m, k: tuple(range(m * k)))
+        monkeypatch.setattr(coloring, "build_forbidden", empty)
+        with pytest.raises(InternalInconsistencyError, match="do not partition"):
+            build_partition(3, 4)
 
-    def test_rejects_non_partition(self):
-        plan = PartitionPlan(3, 3, REGIME_K_GT_M, (("X", (0, 1, 2)),))
-        with pytest.raises(InvalidArgumentError):
-            verify_partition(plan)
+    def test_overlapping_parts_are_internal_failure(self, monkeypatch):
+        # B plus an element of F: every residue is covered and both parts are
+        # free, but that element lies in two parts.  At (4,6) the third
+        # element of F keeps B free.
+        real = coloring.build_avoiding
+        extra = build_forbidden(4, 6).union[2]
 
-    def test_accepts_built_plans(self):
-        assert verify_partition(build_partition(4, 4)) is None
+        def overlapping(m, k):
+            return real(m, k) + (extra,)
+
+        monkeypatch.setattr(coloring, "build_avoiding", overlapping)
+        assert not helpers.contains_progression(overlapping(4, 6), 24, 6)
+        with pytest.raises(InternalInconsistencyError, match="do not partition"):
+            build_partition(4, 6)
 
 
 class TestWcLowerBounds:

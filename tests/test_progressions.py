@@ -15,7 +15,11 @@ from cyclicvdw import (
     find_contained_progression,
     make_progression,
 )
-from cyclicvdw.progressions import METHOD_BRUTE_FORCE, METHOD_CLOSED_FORM
+from cyclicvdw.progressions import (
+    METHOD_BRUTE_FORCE,
+    METHOD_CLOSED_FORM,
+    is_proper_coloring,
+)
 
 import helpers
 
@@ -177,6 +181,26 @@ class TestFindContainedProgression:
                 assert got.elements == tuple(
                     sorted((t + i * d) % n for i in range(k))
                 )
+
+
+class TestIsProperColoring:
+    @given(st.lists(st.integers(0, 2), min_size=3, max_size=16))
+    def test_proper_iff_no_class_holds_a_progression(self, coloring):
+        n = len(coloring)
+        expected = not any(
+            helpers.contains_progression([x for x in range(n) if coloring[x] == c],
+                                         n, 3)
+            for c in range(3)
+        )
+        assert is_proper_coloring(n, 3, 3, coloring) == expected
+
+    # Short, out-of-range and non-list colorings are covered by the cached
+    # chi records of test_cli.
+    @pytest.mark.parametrize("last", [-1, True, 1.0])
+    def test_rejects_negative_or_non_int_color(self, last):
+        coloring = (0, 0, 1, 1, 0, 0, 1, last)
+        assert is_proper_coloring(8, 3, 2, (0, 0, 1, 1, 0, 0, 1, 1))
+        assert not is_proper_coloring(8, 3, 2, coloring)
 
 
 class TestDifferenceGcdSet:

@@ -13,8 +13,12 @@ from cyclicvdw import (
     is_r_colorable,
     theorem_bounds,
 )
-from cyclicvdw import search
-from cyclicvdw.search import STATUS_EXACT, STATUS_LOWER_BOUND_ONLY
+from cyclicvdw import progressions, search
+from cyclicvdw.search import (
+    STATUS_EXACT,
+    STATUS_LOWER_BOUND_ONLY,
+    STATUS_UPPER_BOUND_ONLY,
+)
 
 import helpers
 
@@ -93,7 +97,7 @@ class TestIndependenceNumber:
         assert res.status == STATUS_LOWER_BOUND_ONLY
         assert res.nodes_explored == max_nodes + 1
         assert res.value == whole.value
-        assert search.is_free_witness(30, 3, res.value, res.witness)
+        assert progressions.is_free_witness(30, 3, res.value, res.witness)
         res = independence_number(30, 3, SearchBudget(max_nodes=max_nodes + 1))
         assert res.status == STATUS_EXACT
 
@@ -173,6 +177,15 @@ class TestChromaticNumber:
         res = chromatic_number(12, 3)
         assert len(set(res.coloring)) == res.value
         assert_proper(12, 3, res.coloring)
+
+    def test_all_probes_killed_gives_checked_fallback(self, monkeypatch):
+        res = chromatic_number(30, 3, SearchBudget(max_nodes=10))
+        assert (res.value, res.coloring) == (30, tuple(range(30)))
+        assert res.status == STATUS_UPPER_BOUND_ONLY
+        # The fallback passes the same check as a searched coloring.
+        monkeypatch.setattr(search, "is_proper_coloring", lambda *args: False)
+        with pytest.raises(InternalInconsistencyError):
+            chromatic_number(30, 3, SearchBudget(max_nodes=10))
 
     def test_matches_refutation_boundary(self):
         res = chromatic_number(9, 3)
