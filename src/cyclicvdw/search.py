@@ -2,7 +2,7 @@
 cyclic progressions mod N, at small N.
 
 Independence uses vertex branch-and-bound over the enumerated progressions;
-colorability uses backtracking with the first vertex's color fixed.  Both
+colorability uses DSATUR backtracking with forced-color propagation.  Both
 respect node and wall-clock budgets.  Every witness and coloring they hand
 back has passed `progressions.is_free_witness` or `is_proper_coloring`, the
 checks that also re-verify cached answers and partition plans.
@@ -66,7 +66,7 @@ def _edge_tables(n: int, k: int):
 
     keep[v] holds the edges not through v, top[v] the edges whose largest
     vertex is v, and verts[i] the vertices of edge i, largest first.  This
-    is the one check of (N, k) for the exact searches.
+    is the independence search's check of (N, k).
     """
     _require(n >= 1, f"modulus must be positive, got {n}")
     touch = [0] * n
@@ -201,54 +201,131 @@ def is_r_colorable(
     """A proper r-coloring (no monochromatic k-term progression), or None
     when the search refutes one.
 
-    Backtracking over vertices 0, 1, ..., N-1, trying colors in order and
-    never a color beyond the first unused one.  The state is one int over
-    edge ids per color: the edges with no vertex decided in another color.
-    Giving v color c is illegal iff such an edge of c has v as its largest
-    vertex.  The coloring passes `is_proper_coloring` before it is handed
-    back; a budget kill raises BudgetExceededError, never a refutation.
+    DSATUR backtracking with unit propagation.  Each node branches on the
+    uncolored vertex with the fewest allowed colors among the used ones and
+    the lowest unused one, trying those in order.  Coloring v with c removes
+    c from the last uncolored vertex of any edge through v whose colored
+    vertices all have color c; a vertex left with one allowed color is
+    colored at once, the same way.  A node fails on a vertex with no allowed
+    color or a monochromatic edge.  A removed color is always a used one, so
+    trying a new color only as the lowest unused one stays sound.  The
+    coloring passes `is_proper_coloring` before it is handed back; a budget
+    kill raises BudgetExceededError, never a refutation.
     """
     _require(r >= 1, f"r must be positive, got {r}")
-    return _colorable(modulus, k, r, budget, _edge_tables(modulus, k))
+    return _colorable(modulus, k, r, budget, _incidence(modulus, k))
+
+
+def _incidence(n: int, k: int) -> list[list[int]]:
+    """For each vertex v, the masks of the other vertices of every edge of
+    enumerate_progressions(n, k) through v, in edge order.  This is the
+    coloring search's check of (N, k).
+    """
+    _require(n >= 1, f"modulus must be positive, got {n}")
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for p in enumerate_progressions(n, k):
+        mask = 0
+        for v in p.elements:
+            mask |= 1 << v
+        for v in p.elements:
+            inc[v].append(mask ^ (1 << v))
+    return inc
 
 
 def _colorable(
-    n: int, k: int, r: int, budget: SearchBudget | None, tables
+    n: int, k: int, r: int, budget: SearchBudget | None, inc: list[list[int]]
 ) -> tuple[int, ...] | None:
-    keep, top, verts = tables
-    if not verts:
+    if not any(inc):
         return _checked_coloring(n, k, r, [0] * n)
+    if r == 1:
+        return None  # every edge is monochromatic
     budget = budget or SearchBudget()
     max_nodes = budget.max_nodes
-    color = [-1] * n
     deadline = time.monotonic() + budget.max_seconds
+    every = (1 << n) - 1
     nodes = 0
+    found: list[int] = []
 
-    def rec(v: int, used: int, live: list[int]) -> bool:
-        nonlocal nodes
+    def propagate(v: int, c: int, done: int, allowed: list[int], cls: list[int]) -> int:
+        # Colors v with c and every vertex this forces, updating allowed and
+        # cls in place; the new colored mask, or -1 on a conflict.
+        todo = [(v, c)]
+        while todo:
+            v, c = todo.pop()
+            done |= 1 << v
+            cls[c] |= 1 << v
+            mine = cls[c]
+            if mine.bit_count() < k - 1:
+                continue  # no edge through v has k - 2 other vertices of color c
+            other = done ^ mine  # colored, but not with c
+            free = every ^ done
+            for o in inc[v]:
+                if o & other:
+                    continue
+                last = o & free
+                if not last:
+                    return -1  # monochromatic edge
+                if last & (last - 1):
+                    continue
+                u = last.bit_length() - 1
+                a = allowed[u]
+                if a >> c & 1:
+                    a ^= 1 << c
+                    if not a:
+                        return -1
+                    allowed[u] = a
+                    if not a & (a - 1):
+                        todo.append((u, a.bit_length() - 1))
+        return done
+
+    def rec(done: int, allowed: list[int], cls: list[int], used: int) -> bool:
+        nonlocal nodes, found
         nodes += 1
         if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
             raise BudgetExceededError(f"{r}-colorability search budget exhausted")
-        if v == n:
+        if done == every:
+            found = cls
             return True
-        top_v, keep_v = top[v], keep[v]
-        for c in range(min(used + 1, r)):
-            if live[c] & top_v:
-                continue
-            color[v] = c
-            nxt = [x & keep_v for x in live]
-            nxt[c] = live[c]
-            if rec(v + 1, max(used, c + 1), nxt):
-                return True
+        span = (1 << min(used + 1, r)) - 1  # the used colors and the next one
+        # No vertex has fewer than `least` choices: an unused color is never
+        # removed, and once all r are used a vertex with one is already
+        # colored.  The first vertex that reaches it ends the scan.
+        least = 1 if used < r else 2
+        fewest = r + 1
+        for x in range(n):
+            if not done >> x & 1:
+                m = (allowed[x] & span).bit_count()
+                if m < fewest:
+                    fewest, v = m, x
+                    if m == least:
+                        break
+        choices = allowed[v] & span
+        while choices:
+            c = (choices & -choices).bit_length() - 1
+            choices &= choices - 1
+            # The last choice may take this node's own lists.
+            a, s = (allowed[:], cls[:]) if choices else (allowed, cls)
+            d = propagate(v, c, done, a, s)
+            if d >= 0:
+                u = used
+                while u < r and s[u]:
+                    u += 1
+                if rec(d, a, s, u):
+                    return True
         return False
 
     try:
-        if not rec(0, 0, [(1 << len(verts)) - 1] * r):
+        if not rec(0, [(1 << r) - 1] * n, [0] * r, 0):
             return None
     finally:
         rec = None  # break the closure's self-reference
+    color = [0] * n
+    for c, m in enumerate(found):
+        for v in range(n):
+            if m >> v & 1:
+                color[v] = c
     return _checked_coloring(n, k, r, color)
 
 
@@ -263,16 +340,17 @@ def chromatic_number(
 ) -> ColoringResult:
     """Smallest r admitting a proper r-coloring, trying r = 1, 2, ...
 
-    The edges and their tables are built once and shared by every probe.
+    The edges and their incidence lists are built once and shared by every
+    probe.
     The budget applies per probe, each r with its own node count and deadline,
     so a call can run up to about N times `budget.max_seconds`.  Exact only
     when every smaller r was refuted rather than budget-killed.
     """
-    tables = _edge_tables(modulus, k)
+    inc = _incidence(modulus, k)
     status = STATUS_EXACT
     for r in range(1, modulus + 1):
         try:
-            coloring = _colorable(modulus, k, r, budget, tables)
+            coloring = _colorable(modulus, k, r, budget, inc)
         except BudgetExceededError:
             status = STATUS_UPPER_BOUND_ONLY
             continue

@@ -71,6 +71,36 @@ def tiny_independence_number(n, k):
     return 0
 
 
+def fixed_order_colorable(n, k, r):
+    """Whether Z_n has an r-coloring with no monochromatic k-term progression.
+
+    Plain backtracking over vertices 0, 1, ..., n-1 in order, trying colors
+    in order and never one beyond the first unused color.  An edge is checked
+    only at its largest vertex, when its last vertex is colored.  This is the
+    oracle for refutations, which cannot be re-verified the way a coloring
+    can.
+    """
+    closing = [[] for _ in range(n)]  # other vertices of the edges topped by v
+    for e in brute_progression_sets(n, k):
+        top = max(e)
+        closing[top].append(sum(1 << v for v in e if v != top))
+    cls = [0] * r
+
+    def rec(v, used):
+        if v == n:
+            return True
+        for c in range(min(used + 1, r)):
+            if any(o & cls[c] == o for o in closing[v]):
+                continue
+            cls[c] |= 1 << v
+            if rec(v + 1, max(used, c + 1)):
+                return True
+            cls[c] ^= 1 << v
+        return False
+
+    return rec(0, 0)
+
+
 def contains_progression(residues, n, k):
     s = set(residues)
     return any(e <= s for e in brute_progression_sets(n, k))

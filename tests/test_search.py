@@ -146,9 +146,20 @@ class TestColorability:
         assert_proper(12, 4, coloring)
 
     def test_budget_kill_is_indeterminate(self):
-        # Neither a coloring nor a refutation.
+        # Neither a coloring nor a refutation.  Propagation refutes r = 2 in
+        # 3 nodes; r = 3 needs more than 10.
         with pytest.raises(BudgetExceededError):
-            is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
+            is_r_colorable(30, 3, 3, SearchBudget(max_nodes=10))
+
+    @pytest.mark.parametrize("n", range(3, 23))
+    def test_agrees_with_fixed_order_oracle(self, n):
+        # A refutation cannot be re-verified the way a coloring can, so the
+        # search must agree with plain backtracking on colorable versus
+        # refuted.  All 840 probes with N <= 22 take about 2 s.
+        for k in range(3, n + 1):
+            for r in range(1, 5):
+                found = is_r_colorable(n, k, r) is not None
+                assert found == helpers.fixed_order_colorable(n, k, r), (n, k, r)
 
     def test_trivial_when_no_edges(self):
         assert is_r_colorable(4, 5, 1) == (0, 0, 0, 0)
@@ -179,6 +190,7 @@ class TestChromaticNumber:
         assert_proper(12, 3, res.coloring)
 
     def test_all_probes_killed_gives_checked_fallback(self, monkeypatch):
+        # r = 1 and 2 are refuted within 10 nodes; r = 3..30 are killed.
         res = chromatic_number(30, 3, SearchBudget(max_nodes=10))
         assert (res.value, res.coloring) == (30, tuple(range(30)))
         assert res.status == STATUS_UPPER_BOUND_ONLY
@@ -186,6 +198,16 @@ class TestChromaticNumber:
         monkeypatch.setattr(search, "is_proper_coloring", lambda *args: False)
         with pytest.raises(InternalInconsistencyError):
             chromatic_number(30, 3, SearchBudget(max_nodes=10))
+
+    @pytest.mark.parametrize("n,k,expected", [
+        (34, 3, 4), (36, 3, 4), (37, 3, 4), (34, 5, 3),
+        # Refuting r = 4 takes 69k nodes.
+        (29, 3, 5),
+    ])
+    def test_values_beyond_the_grid(self, n, k, expected):
+        # About 4 s in all, 3 s of it (29,3).
+        res = chromatic_number(n, k)
+        assert (res.value, res.status) == (expected, STATUS_EXACT)
 
     def test_matches_refutation_boundary(self):
         res = chromatic_number(9, 3)
@@ -219,11 +241,11 @@ PINNED_B = {
     (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 1440),
 }
 PINNED_CHI = {
-    (20, 3): (4, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 1, 2, 2, 3, 3),
+    (20, 3): (4, (0, 0, 1, 1, 0, 0, 1, 2, 2, 3, 2, 0, 3, 3, 0, 2, 2, 1, 3, 1),
               STATUS_EXACT),
-    (17, 5): (3, (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 2, 2), STATUS_EXACT),
-    (26, 3): (4, (0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 0, 1, 0, 0, 1, 1, 3, 2, 1, 3, 3,
-                  2, 2, 3, 2, 3), "upper_bound_only"),
+    (17, 5): (3, (0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 2, 1, 1), STATUS_EXACT),
+    (26, 3): (4, (0, 0, 1, 1, 0, 0, 3, 2, 1, 1, 3, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3,
+                  2, 2, 3, 3, 1), STATUS_EXACT),
 }
 
 
@@ -251,7 +273,7 @@ def test_searches_leave_no_cyclic_garbage():
         res = independence_number(30, 3, SearchBudget(max_nodes=10))
         assert res.status == STATUS_LOWER_BOUND_ONLY
         with pytest.raises(BudgetExceededError):
-            is_r_colorable(30, 3, 2, SearchBudget(max_nodes=10))
+            is_r_colorable(30, 3, 3, SearchBudget(max_nodes=10))
         assert gc.collect() == 0
     finally:
         gc.enable()
