@@ -61,25 +61,46 @@ class ColoringResult:
 
 
 def _edge_tables(n: int, k: int):
-    """Per-vertex masks over edge ids, where bit i stands for the i-th
-    progression of enumerate_progressions(n, k).
+    """Masks over edge ids, where bit i stands for the i-th progression of
+    enumerate_progressions(n, k).  This is the independence search's check
+    of (N, k).
 
     keep[v] holds the edges not through v, top[v] the edges whose largest
-    vertex is v, and verts[i] the vertices of edge i, largest first.  This
-    is the independence search's check of (N, k).
+    vertex is v, and verts[i] the vertices of edge i, largest first.  While
+    vertices are decided in order, an edge's undecided vertices are its
+    largest ones: one[idx] holds the edges whose second-largest vertex is
+    below idx, pair[idx] those whose second-largest is at least idx and
+    third-largest below it.  clear1[i] and clear2[i] hold the edges sharing
+    no vertex with the largest one or two vertices of edge i.
     """
     _require(n >= 1, f"modulus must be positive, got {n}")
     touch = [0] * n
     top = [0] * n
+    second = [0] * n
+    third = [0] * n
     verts = []
     for i, p in enumerate(enumerate_progressions(n, k)):
         bit = 1 << i
-        for v in p.elements:
+        e = p.elements[::-1]
+        for v in e:
             touch[v] |= bit
-        top[p.elements[-1]] |= bit
-        verts.append(p.elements[::-1])
+        top[e[0]] |= bit
+        second[e[1]] |= bit
+        third[e[2]] |= bit
+        verts.append(e)
     full = (1 << len(verts)) - 1
-    return [full ^ t for t in touch], top, verts
+    keep = [full ^ t for t in touch]
+    clear1 = [keep[e[0]] for e in verts]
+    clear2 = [keep[e[0]] & keep[e[1]] for e in verts]
+    one = [full] * (n + 1)
+    pair = [0] * (n + 1)
+    two = three = 0  # edges whose second, third largest vertex is >= v
+    for v in range(n - 1, -1, -1):
+        two |= second[v]
+        three |= third[v]
+        one[v] = full ^ two
+        pair[v] = two ^ three
+    return keep, top, verts, clear1, clear2, one, pair
 
 
 def _greedy_independent(n: int, alive: int, keep: list[int], top: list[int]) -> int:
@@ -102,11 +123,13 @@ def independence_number(
     no excluded vertex.  Vertices are decided in order, so including v is
     illegal iff an alive edge has v as its largest vertex.  The bound is the
     current size plus the undecided vertices minus one forced exclusion per
-    edge of a greedy packing: take the lowest alive edge id, drop every edge
-    sharing one of its undecided vertices, and repeat.  That is the packing
-    of edges with pairwise-disjoint undecided parts taken in edge order, so
-    the tree and its node count follow from the edge order alone.  Z_N minus
-    the forbidden-set construction seeds the incumbent when k | N.
+    edge of a greedy packing: take an alive edge, drop every edge sharing
+    one of its undecided vertices, and repeat.  An alive edge's undecided
+    vertices are its largest ones, and edges with fewer of them are taken
+    first: those with one (a forced exclusion), then two, then more, the
+    lowest edge id first within each.  So the tree and its node count follow
+    from the edge order alone.  Z_N minus the forbidden-set construction
+    seeds the incumbent when k | N.
 
     The tree is split by the maps x -> ux + t, u a unit mod N, which carry
     progressions to progressions and keep gcd(x, N).  Translate a maximum
@@ -118,11 +141,19 @@ def independence_number(
     (k = N, no edge avoids 0) is answered directly.  The incumbent carries
     from branch to branch, and the node and wall-clock budgets cover the
     whole call.
+
+    The g = 1 branch, 0 and 1 out and nothing forced, is closed under the
+    reflection x -> 1 - x, which swaps w and N + 1 - w.  The search
+    completes these pairs middle first.  A set and its reflection first
+    differ at the same pair, one holding only its smaller vertex and the
+    other only its larger one, so while every completed pair is tied (both
+    in or both out) the next may not hold only its smaller vertex.  This is
+    a lex-leader cut (Crawford et al., KR 1996).
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
     n = modulus
-    keep, top, verts = _edge_tables(n, k)
+    keep, top, verts, clear1, clear2, one, pair = _edge_tables(n, k)
     if k > n:
         return IndependenceResult(
             n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
@@ -144,8 +175,10 @@ def independence_number(
     max_nodes = budget.max_nodes
     deadline = start + budget.max_seconds
     nodes = 0
+    # mirror[x] is the bit of x's partner 1 - x when the partner comes first.
+    mirror = [1 << (n + 1 - x) if 2 * x > n + 1 else 0 for x in range(n)]
 
-    def rec(idx: int, inc_mask: int, inc_count: int, alive: int) -> None:
+    def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > max_nodes or (
@@ -158,29 +191,45 @@ def independence_number(
             return
         # Each alive edge still needs one exclusion among its undecided
         # vertices; packed edges with disjoint undecided parts cost one apiece.
+        # Edges with one undecided vertex go first, then two, then more.
         # Prune once the packing has used up the slack.
         slack = inc_count + (n - idx) - best
-        cand = alive
+        rest = alive
+        cand = rest & one[idx]
         while cand and slack > 0:
             slack -= 1
-            for v in verts[(cand & -cand).bit_length() - 1]:
+            rest &= clear1[(cand & -cand).bit_length() - 1]
+            cand &= rest
+        cand = rest & pair[idx]
+        while cand and slack > 0:
+            slack -= 1
+            rest &= clear2[(cand & -cand).bit_length() - 1]
+            cand &= rest
+        while rest and slack > 0:  # only edges with three or more are left
+            slack -= 1
+            for v in verts[(rest & -rest).bit_length() - 1]:
                 if v < idx:
                     break
-                cand &= keep[v]
+                rest &= keep[v]
         if slack <= 0:
             return
+        # While tied, idx may be out only if its partner w = N + 1 - idx < idx
+        # is out too; idx in with w out unties the pairs.
+        partner_in = tied and inc_mask & mirror[idx]
         if not alive & top[idx]:
-            rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive)
-        if not forced >> idx & 1:
-            rec(idx + 1, inc_mask, inc_count, alive & keep[idx])
+            rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive,
+                tied and (partner_in or not mirror[idx]))
+        if not (forced >> idx & 1 or partner_in):
+            rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied)
 
     try:
         for g in divisors:
             # 0 and g out, 1..g-1 in; later x with gcd(x, N) < g are forced in.
+            # Only g = 1 is closed under x -> 1 - x.
             forced = sum(1 << x for x in range(1, n) if gcd(x, n) < g)
             alive = full & keep[0] & keep[g]
             if not any(alive & top[x] for x in range(1, g)):
-                rec(g + 1, (1 << g) - 2, g - 1, alive)
+                rec(g + 1, (1 << g) - 2, g - 1, alive, g == 1)
         status = STATUS_EXACT
     except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY

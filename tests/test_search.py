@@ -88,7 +88,7 @@ class TestIndependenceNumber:
         assert not helpers.contains_progression(res.witness, 21, 3)
 
     def test_budget_kill_after_first_branch_keeps_its_incumbent(self):
-        # The g = 1 branch of b(30,3) ends at node 24,354 of 24,445, so a
+        # The g = 1 branch of b(30,3) ends at node 8,100 of 8,188, so a
         # budget one node short of the whole tree runs out in a later branch.
         whole = independence_number(30, 3)
         assert whole.status == STATUS_EXACT
@@ -100,6 +100,17 @@ class TestIndependenceNumber:
         assert progressions.is_free_witness(30, 3, res.value, res.witness)
         res = independence_number(30, 3, SearchBudget(max_nodes=max_nodes + 1))
         assert res.status == STATUS_EXACT
+
+    @pytest.mark.parametrize("n,k,expected", [
+        (33, 3, 8), (40, 5, 24), (32, 4, 13), (40, 8, 29), (36, 4, 15),
+        # Cheap cells, each under 0.05 s.
+        (34, 3, 10), (30, 4, 14), (33, 4, 18), (36, 7, 26),
+    ])
+    def test_values_beyond_the_oracle(self, n, k, expected):
+        # Past the exhaustive oracle's reach, so a bound or symmetry cut that
+        # prunes every maximum set shows here.  About 1.5 s in all.
+        res = independence_number(n, k)
+        assert (res.value, res.status) == (expected, STATUS_EXACT)
 
     def test_deterministic(self):
         a = independence_number(15, 3)
@@ -227,18 +238,21 @@ class TestChromaticNumber:
 # color order changes some of these.
 PINNED_BUDGET = SearchBudget(max_nodes=30_000)
 PINNED_B = {
-    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 24445),
+    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 8188),
+    (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 18345),
+    (40, 5): (24, (2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 22, 23, 24, 25,
+                   27, 28, 29, 30, 32, 33, 34, 35), STATUS_EXACT, 23606),
     (32, 4): (13, (2, 3, 4, 6, 7, 9, 10, 11, 17, 22, 25, 26, 27),
               STATUS_LOWER_BOUND_ONLY, 30001),
-    (40, 8): (29, (2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 18, 19,
-                   20, 21, 24, 25, 26, 27, 28, 29, 34, 35, 36, 37, 38),
+    (40, 8): (29, (2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 16, 18, 21, 22, 23,
+                   24, 25, 26, 28, 29, 31, 32, 33, 34, 35, 36, 37, 39),
               STATUS_LOWER_BOUND_ONLY, 30001),
     (36, 6): (22, (2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 19, 20, 21,
                    22, 24, 28, 31, 32, 33), STATUS_LOWER_BOUND_ONLY, 30001),
-    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 343),
-    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 610),
-    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 448),
-    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 1440),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 241),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 478),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 308),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 912),
 }
 PINNED_CHI = {
     (20, 3): (4, (0, 0, 1, 1, 0, 0, 1, 2, 2, 3, 2, 0, 3, 3, 0, 2, 2, 1, 3, 1),
