@@ -1,7 +1,8 @@
 """Append-only results cache: one JSON record per line, keyed by the
 canonical argument tuple of the producing operation.
 
-Exact results are never displaced by bound-only reruns of the same key.
+It holds exact answers only: a record of any other status is neither
+loaded nor written.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def _canon(key: dict) -> str:
 
 
 class ResultsCache:
-    """JSON-lines cache file; later records win except exact-over-bound."""
+    """JSON-lines cache file of exact records; the later of two for a key wins."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -61,40 +62,30 @@ class ResultsCache:
                         ok = False
                     if not ok:
                         self.corrupt_lines += 1
-                        continue
-                    self._admit(rec)
-
-    def _admit(self, rec: CacheRecord) -> bool:
-        ck = _canon(rec.key)
-        old = self._records.get(ck)
-        if (
-            old is not None
-            and old.status == STATUS_EXACT
-            and rec.status != STATUS_EXACT
-        ):
-            return False
-        self._records[ck] = rec
-        return True
+                    elif rec.status == STATUS_EXACT:
+                        self._records[_canon(rec.key)] = rec
 
     def get(self, key: dict) -> CacheRecord | None:
         return self._records.get(_canon(key))
 
-    def put(self, key: dict, status: str, value: dict) -> CacheRecord:
+    def put(self, key: dict, status: str, value: dict) -> None:
+        """Store and append an exact record; any other status is dropped."""
+        if status != STATUS_EXACT:
+            return
         rec = CacheRecord(key, status, value, TOOL_VERSION, time.time())
-        if self._admit(rec):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-            with self.path.open("ab+") as fh:
-                # One writer at a time, so the end seen below stays the end.
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                # A record glued onto a torn line would not load: start a fresh one.
-                size = fh.seek(0, os.SEEK_END)
-                if size:
-                    fh.seek(size - 1)
-                    if fh.read(1) != b"\n":
-                        text = "\n" + text
-                fh.write(text.encode("utf-8"))
-        return self._records[_canon(key)]
+        self._records[_canon(key)] = rec
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(rec.to_dict(), sort_keys=True) + "\n"
+        with self.path.open("ab+") as fh:
+            # One writer at a time, so the end seen below stays the end.
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            # A record glued onto a torn line would not load: start a fresh one.
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    text = "\n" + text
+            fh.write(text.encode("utf-8"))
 
     def __len__(self) -> int:
         return len(self._records)

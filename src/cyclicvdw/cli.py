@@ -84,12 +84,12 @@ def _open_cache(path) -> ResultsCache | None:
 
 
 def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
-    """The cached value for `key` if exact and re-verified; anything else is a
-    miss.  The witness or coloring must pass the check that a fresh search
-    answer passes: `progressions.is_free_witness` for b,
-    `progressions.is_proper_coloring` for chi."""
+    """The cached value for `key` if re-verified; anything else is a miss.
+    The cache holds exact records only, and the witness or coloring must pass
+    the check that a fresh search answer passes: `progressions.is_free_witness`
+    for b, `progressions.is_proper_coloring` for chi."""
     rec = cache.get(key) if cache is not None else None
-    if rec is None or rec.status != search.STATUS_EXACT:
+    if rec is None:
         return None
     n, k, value = key["n"], key["k"], rec.value
     modulus, length, size = (value.get(f) for f in ("modulus", "k", "value"))
@@ -161,7 +161,11 @@ def cmd_exact(args) -> Output:
         solve = (search.independence_number if args.what == "b"
                  else search.chromatic_number)
         budget = search.SearchBudget(args.budget_nodes, args.budget_seconds)
-        result = solve(args.n, args.k, budget)
+        try:
+            result = solve(args.n, args.k, budget)
+        except RecursionError:
+            raise InvalidArgumentError(
+                f"N={args.n} is too large for the search's recursion depth") from None
         value = result.to_dict()
         if cache is not None:
             cache.put(key, result.status, value)

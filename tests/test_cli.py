@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclicvdw import InternalInconsistencyError, InvalidArgumentError, ResultsCache
-from cyclicvdw import coloring, construction
+from cyclicvdw import coloring, construction, search
 from cyclicvdw.cli import main, parse_range
 from cyclicvdw.serialize import (
     parse_residues,
@@ -269,6 +269,25 @@ class TestResultsCache:
         cache.put(key, "lower_bound_only", {"value": 7})
         assert cache.get(key).value == {"value": 9}
 
+    def test_later_bound_only_line_is_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
+        path.write_text(
+            json.dumps({"key": key, "status": "exact", "value": {"value": 8}}) + "\n"
+            + json.dumps({"key": key, "status": "lower_bound_only",
+                          "value": {"value": 7}}) + "\n")
+        cache = ResultsCache(path)
+        assert cache.get(key).value == {"value": 8}
+        assert len(cache) == 1 and cache.corrupt_lines == 0
+
+    def test_bound_only_put_writes_nothing(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
+        cache = ResultsCache(path)
+        cache.put(key, "lower_bound_only", {"value": 7})
+        assert cache.get(key) is None and len(cache) == 0
+        assert not path.exists() or path.read_text() == ""
+
     def test_appended_line_fields(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
@@ -491,7 +510,7 @@ class TestExactCommand:
         code, again, _ = run(capsys, *argv, "--budget-nodes", "10")
         assert code == 0 and again == out
         with open(cache) as fh:
-            assert len(fh.readlines()) == 2
+            assert len(fh.readlines()) == 1
 
     def test_incomplete_exact_cache_record_is_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -537,6 +556,20 @@ class TestExactCommand:
             code, out, err = run(capsys, "exact", "--n", "-3", "--k", "3",
                                  "--what", what)
             assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_search_past_the_recursion_limit_is_a_usage_error(self, capsys,
+                                                             monkeypatch):
+        def too_deep(n, k, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(search, "independence_number", too_deep)
+        monkeypatch.setattr(search, "chromatic_number", too_deep)
+        for what in ("b", "chi"):
+            code, out, err = run(capsys, "exact", "--n", "1100", "--k", "1099",
+                                 "--what", what, "--force")
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error:") and "N=1100" in err
 
     @pytest.mark.parametrize("what,answer", [("b", "witness"), ("chi", "coloring")])
     def test_cached_record_does_not_skip_argument_checks(self, capsys, tmp_path,
