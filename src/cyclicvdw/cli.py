@@ -154,13 +154,14 @@ def cmd_exact(args) -> Output:
             f"N={args.n} exceeds the exact-search cap {MAX_EXACT_N}; "
             f"pass --force to run anyway"
         )
+    # Checked before the cache read, so a cache hit exits as a miss would.
+    budget = search.SearchBudget(args.budget_nodes, args.budget_seconds)
     key = {"op": "exact", "n": args.n, "k": args.k, "what": args.what}
     cache = _open_cache(args.cache)
     value = _exact_value(cache, key)
     if value is None:
         solve = (search.independence_number if args.what == "b"
                  else search.chromatic_number)
-        budget = search.SearchBudget(args.budget_nodes, args.budget_seconds)
         try:
             result = solve(args.n, args.k, budget)
         except RecursionError:

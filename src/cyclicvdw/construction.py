@@ -122,10 +122,10 @@ def build_avoiding(m: int, k: int) -> tuple[int, ...]:
 
 
 def theorem_bounds(m: int, k: int) -> BoundsReport:
-    """mk - |F| <= b(mk, k) <= mk - m, exact at the upper end when D(mk,k) = {1}."""
+    """mk - |F| <= b(mk, k) <= mk - m, exact when they meet, iff D(mk,k) = {1}."""
     lower = m * k - forbidden_size_formula(m, k)
     upper = m * k - m
-    if closed_diffs(m, k) == (1,):
+    if lower == upper:
         return BoundsReport(m, k, lower, upper, upper, EXACT_BY_SINGLETON)
     return BoundsReport(m, k, lower, upper)
 

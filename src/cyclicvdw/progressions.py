@@ -88,7 +88,8 @@ def make_progression(modulus: int, base: int, diff: int, k: int) -> CyclicProgre
 def enumerate_progressions(modulus: int, k: int) -> list[CyclicProgression]:
     """Every distinct k-term progression mod N, each element set exactly once.
 
-    Returns [] when k > N.  The list is sorted by element tuple; the exact
+    N must be at least 1, and the list is [] when k > N.  This is the exact
+    searches' check of (N, k).  The list is sorted by element tuple; the
     searches take it as their edge order, and their node counts rely on it.
 
     Each progression P is S + min(P) for exactly one S containing 0 with
@@ -96,6 +97,7 @@ def enumerate_progressions(modulus: int, k: int) -> list[CyclicProgression]:
     built and deduped; translating it by a = 0, 1, ... emits P in sorted
     order.
     """
+    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
     _require(k >= 3, f"k must be >= 3, got {k}")
     _require(
         modulus <= ENUMERATION_CAP,
@@ -141,7 +143,7 @@ def find_contained_progression(
         all(0 <= x < modulus for x in s),
         f"residues must lie in 0..{modulus - 1}",
     )
-    if k > modulus or len(s) < k:
+    if len(s) < k:
         return None
     mask = sum(1 << x for x in s)
     for d in canonical_diffs(modulus, k):

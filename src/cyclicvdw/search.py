@@ -62,8 +62,8 @@ class ColoringResult:
 
 def _edge_tables(n: int, k: int):
     """Masks over edge ids, where bit i stands for the i-th progression of
-    enumerate_progressions(n, k).  This is the independence search's check
-    of (N, k).
+    enumerate_progressions(n, k), which checks (N, k) for the independence
+    search.
 
     keep[v] holds the edges not through v, top[v] the edges whose largest
     vertex is v, and verts[i] the vertices of edge i, largest first.  While
@@ -73,7 +73,6 @@ def _edge_tables(n: int, k: int):
     third-largest below it.  clear1[i] and clear2[i] hold the edges sharing
     no vertex with the largest one or two vertices of edge i.
     """
-    _require(n >= 1, f"modulus must be positive, got {n}")
     touch = [0] * n
     top = [0] * n
     second = [0] * n
@@ -128,8 +127,8 @@ def independence_number(
     vertices are its largest ones, and edges with fewer of them are taken
     first: those with one (a forced exclusion), then two, then more, the
     lowest edge id first within each.  So the tree and its node count follow
-    from the edge order alone.  Z_N minus the forbidden-set construction
-    seeds the incumbent when k | N.
+    from the edge order alone.  The greedy set seeds the incumbent, or Z_N
+    minus the forbidden-set construction when k | N and that is larger.
 
     The tree is split by the maps x -> ux + t, u a unit mod N, which carry
     progressions to progressions and keep gcd(x, N).  Translate a maximum
@@ -137,10 +136,10 @@ def independence_number(
     the rest of C, and multiply by a unit taking such an x to g: the image
     excludes 0 and g and includes every x with gcd(x, N) < g.  So one branch
     per proper divisor g of N, in increasing g, searching only such sets,
-    covers every maximum set whose complement is not {0}; that one case
-    (k = N, no edge avoids 0) is answered directly.  The incumbent carries
-    from branch to branch, and the node and wall-clock budgets cover the
-    whole call.
+    covers every maximum set whose complement has two points or more.  Only
+    k >= N, with no edge missing 0, has a smaller one; there no branch runs
+    and the greedy seed (Z_N, or Z_N minus N - 1) is maximum.  The incumbent
+    carries from branch to branch; the node and time budgets cover the call.
 
     The g = 1 branch, 0 and 1 out and nothing forced, is closed under the
     reflection x -> 1 - x, which swaps w and N + 1 - w.  The search
@@ -154,23 +153,13 @@ def independence_number(
     start = time.monotonic()
     n = modulus
     keep, top, verts, clear1, clear2, one, pair = _edge_tables(n, k)
-    if k > n:
-        return IndependenceResult(
-            n, k, n, tuple(range(n)), STATUS_EXACT, 0, time.monotonic() - start
-        )
     full = (1 << len(verts)) - 1
-    if full & keep[0]:
-        best_mask = _greedy_independent(n, full, keep, top)
-        divisors = [g for g in range(1, n // 2 + 1) if n % g == 0]
-    else:  # k = N: Z_N is the only edge, so Z_N minus 0 is maximum
-        best_mask, divisors = (1 << n) - 2, []
+    best_mask = _greedy_independent(n, full, keep, top)
     if n % k == 0:
-        avoiding = build_avoiding(n // k, k)
-        if len(avoiding) > bin(best_mask).count("1"):
-            best_mask = 0
-            for v in avoiding:
-                best_mask |= 1 << v
-    best = bin(best_mask).count("1")
+        best_mask = max(best_mask, sum(1 << v for v in build_avoiding(n // k, k)),
+                        key=int.bit_count)
+    best = best_mask.bit_count()
+    divisors = [g for g in range(1, n // 2 + 1) if n % g == 0] if k < n else []
 
     max_nodes = budget.max_nodes
     deadline = start + budget.max_seconds
@@ -267,10 +256,9 @@ def is_r_colorable(
 
 def _incidence(n: int, k: int) -> list[list[int]]:
     """For each vertex v, the masks of the other vertices of every edge of
-    enumerate_progressions(n, k) through v, in edge order.  This is the
-    coloring search's check of (N, k).
+    enumerate_progressions(n, k) through v, in edge order; the enumeration
+    checks (N, k) for the coloring search.
     """
-    _require(n >= 1, f"modulus must be positive, got {n}")
     inc: list[list[int]] = [[] for _ in range(n)]
     for p in enumerate_progressions(n, k):
         mask = 0

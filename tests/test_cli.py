@@ -580,6 +580,17 @@ class TestExactCommand:
                              "--what", what, "--cache", str(cache))
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,value", [("--budget-nodes", "0"),
+                                            ("--budget-seconds", "nan")])
+    def test_cached_record_does_not_skip_budget_checks(self, capsys, tmp_path,
+                                                       flag, value):
+        cache = str(tmp_path / "cache.jsonl")
+        args = ("exact", "--n", "9", "--k", "3", "--what", "b", "--cache", cache)
+        assert run(capsys, *args)[0] == 0
+        code, out, err = run(capsys, *args, flag, value)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestPartitionCommand:
     def test_text(self, capsys):

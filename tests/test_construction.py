@@ -13,7 +13,7 @@ from cyclicvdw import (
     theorem_bounds,
     witness_class,
 )
-from cyclicvdw.construction import EXACT_BY_SINGLETON, EXACT_NONE
+from cyclicvdw.construction import EXACT_BY_SINGLETON, EXACT_NONE, closed_diffs
 
 import helpers
 
@@ -150,6 +150,12 @@ class TestExactness:
             for m in range(k, 2 * k):
                 assert theorem_bounds(m, k).exact is None
 
+    def test_exact_iff_singleton_diffs(self):
+        for m in range(1, 41):
+            for k in range(3, 41):
+                assert ((theorem_bounds(m, k).exact is not None)
+                        == (closed_diffs(m, k) == (1,))), (m, k)
+
 
 class TestWitnessClass:
     def test_unit_difference_witness(self):
@@ -184,7 +190,6 @@ class TestWitnessClass:
 
     def test_window_lemma_over_small_grid(self):
         from cyclicvdw import enumerate_progressions
-        from cyclicvdw.construction import closed_diffs
         for mk in range(3, 101):
             for k in range(3, mk + 1):
                 if mk % k:

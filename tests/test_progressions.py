@@ -93,6 +93,11 @@ class TestEnumerateProgressions:
     def test_k_above_modulus_is_empty(self):
         assert enumerate_progressions(5, 6) == []
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_modulus_rejected(self, n):
+        with pytest.raises(InvalidArgumentError):
+            enumerate_progressions(n, 3)
+
     def test_cap_enforced(self):
         with pytest.raises(InvalidArgumentError):
             enumerate_progressions(10_001, 3)

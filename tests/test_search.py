@@ -46,11 +46,14 @@ class TestIndependenceNumber:
             res = independence_number(n, n)
             assert res.value == n - 1
             assert res.status == STATUS_EXACT
+            assert res.nodes_explored == 0
+            assert progressions.is_free_witness(n, n, n - 1, res.witness)
 
     def test_k_above_modulus(self):
         res = independence_number(5, 7)
         assert res.value == 5 and res.witness == (0, 1, 2, 3, 4)
         assert res.status == STATUS_EXACT
+        assert res.nodes_explored == 0
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_matches_exhaustive_oracle(self, n):
