@@ -141,13 +141,20 @@ def independence_number(
     and the greedy seed (Z_N, or Z_N minus N - 1) is maximum.  The incumbent
     carries from branch to branch; the node and time budgets cover the call.
 
-    The g = 1 branch, 0 and 1 out and nothing forced, is closed under the
-    reflection x -> 1 - x, which swaps w and N + 1 - w.  The search
-    completes these pairs middle first.  A set and its reflection first
-    differ at the same pair, one holding only its smaller vertex and the
-    other only its larger one, so while every completed pair is tied (both
-    in or both out) the next may not hold only its smaller vertex.  This is
-    a lex-leader cut (Crawford et al., KR 1996).
+    For g = 1, C holds two points a unit u apart.  Among the images
+    x -> (x - c)/u, c in C, take one whose run c, c + u, ... of C is
+    longest, and translate it by +1.  With L >= 2 the run's length, the
+    image holds 0 and L + 1, excludes 1..L, and has no L + 1 cyclically
+    consecutive points out, or the run would be longer.  So g = 1 is one
+    branch per L = 2, 3, ... while N - L beats the incumbent; each decides
+    0..L + 1 first and refuses an exclusion that would make a run of L + 1.
+    These constraints are closed under the reflection y -> L + 1 - y, which
+    swaps y and N + L + 1 - y.  The search completes these pairs middle
+    first.  A set and its reflection first differ at the same pair, one
+    holding only its smaller vertex and the other only its larger one, so
+    while every completed pair is tied (both in or both out) the next may
+    not hold only its smaller vertex.  This is a lex-leader cut (Crawford et
+    al., KR 1996) on a canonical image (McKay, J. Algorithms 26, 1998).
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -159,15 +166,13 @@ def independence_number(
         best_mask = max(best_mask, sum(1 << v for v in build_avoiding(n // k, k)),
                         key=int.bit_count)
     best = best_mask.bit_count()
-    divisors = [g for g in range(1, n // 2 + 1) if n % g == 0] if k < n else []
 
     max_nodes = budget.max_nodes
     deadline = start + budget.max_seconds
     nodes = 0
-    # mirror[x] is the bit of x's partner 1 - x when the partner comes first.
-    mirror = [1 << (n + 1 - x) if 2 * x > n + 1 else 0 for x in range(n)]
 
-    def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool) -> None:
+    def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool,
+            run: int) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > max_nodes or (
@@ -202,23 +207,36 @@ def independence_number(
                 rest &= keep[v]
         if slack <= 0:
             return
-        # While tied, idx may be out only if its partner w = N + 1 - idx < idx
-        # is out too; idx in with w out unties the pairs.
+        # While tied, idx may be out only if its partner w < idx is out too;
+        # idx in with w out unties the pairs.  `run` counts the exclusions
+        # since the last inclusion.
         partner_in = tied and inc_mask & mirror[idx]
         if not alive & top[idx]:
             rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive,
-                tied and (partner_in or not mirror[idx]))
-        if not (forced >> idx & 1 or partner_in):
-            rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied)
+                tied and (partner_in or not mirror[idx]), 0)
+        if not (forced >> idx & 1 or partner_in or run == limit):
+            rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied, run + 1)
 
     try:
-        for g in divisors:
-            # 0 and g out, 1..g-1 in; later x with gcd(x, N) < g are forced in.
-            # Only g = 1 is closed under x -> 1 - x.
-            forced = sum(1 << x for x in range(1, n) if gcd(x, n) < g)
-            alive = full & keep[0] & keep[g]
-            if not any(alive & top[x] for x in range(1, g)):
-                rec(g + 1, (1 << g) - 2, g - 1, alive, g == 1)
+        if k < n:
+            # g = 1, one branch per longest run L = limit: 0 in, 1..L out,
+            # L + 1 in.
+            forced, alive = 0, full & keep[1]
+            for limit in range(2, n - 1):
+                if n - limit <= best:
+                    break
+                alive &= keep[limit]
+                # mirror[y]: the bit of y's partner N + L + 1 - y if it is first.
+                s = n + limit + 1
+                mirror = [1 << (s - y) if 2 * y > s else 0 for y in range(n)]
+                rec(limit + 2, 1 | 1 << (limit + 1), 2, alive, True, 0)
+            limit = n  # no run limit
+            for g in (d for d in range(2, n // 2 + 1) if n % d == 0):
+                # 0 and g out, 1..g-1 in; later x with gcd(x, N) < g forced in.
+                forced = sum(1 << x for x in range(1, n) if gcd(x, n) < g)
+                alive = full & keep[0] & keep[g]
+                if not any(alive & top[x] for x in range(1, g)):
+                    rec(g + 1, (1 << g) - 2, g - 1, alive, False, 0)
         status = STATUS_EXACT
     except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY

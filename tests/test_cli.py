@@ -474,6 +474,10 @@ class TestExactCommand:
                        "status": "exact", "value": 7,
                        "witness": [0, 1, 2, 4, 5, 8, 9]}
 
+    def test_independence_below_three_points(self, capsys):
+        code, out, _ = run(capsys, "exact", "--n", "1", "--k", "3", "--what", "b")
+        assert (code, out) == (0, "b(1,3) = 1 (exact) witness=0\n")
+
     def test_chromatic_text(self, capsys):
         code, out, _ = run(capsys, "exact", "--n", "9", "--k", "3",
                            "--what", "chi")

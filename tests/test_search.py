@@ -55,6 +55,14 @@ class TestIndependenceNumber:
         assert res.status == STATUS_EXACT
         assert res.nodes_explored == 0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_modulus_below_three(self, n):
+        # No edge and no branch: the longest-run branches, which start by
+        # deciding vertices 0, 1 and 2, never run.
+        res = independence_number(n, 3)
+        assert (res.value, res.status, res.nodes_explored) == (n, STATUS_EXACT, 0)
+        assert progressions.is_free_witness(n, 3, n, res.witness)
+
     @pytest.mark.parametrize("n", range(3, 17))
     def test_matches_exhaustive_oracle(self, n):
         for k in (3, 4, 5):
@@ -91,8 +99,9 @@ class TestIndependenceNumber:
         assert not helpers.contains_progression(res.witness, 21, 3)
 
     def test_budget_kill_after_first_branch_keeps_its_incumbent(self):
-        # The g = 1 branch of b(30,3) ends at node 8,100 of 8,188, so a
-        # budget one node short of the whole tree runs out in a later branch.
+        # The longest-run branches of b(30,3), which cover g = 1, end at node
+        # 1,328 of 1,416, so a budget one node short of the whole tree runs
+        # out in a later branch.
         whole = independence_number(30, 3)
         assert whole.status == STATUS_EXACT
         max_nodes = whole.nodes_explored - 1
@@ -108,6 +117,8 @@ class TestIndependenceNumber:
         (33, 3, 8), (40, 5, 24), (32, 4, 13), (40, 8, 29), (36, 4, 15),
         # Cheap cells, each under 0.05 s.
         (34, 3, 10), (30, 4, 14), (33, 4, 18), (36, 7, 26),
+        # Full trees of 153,562, 61,048 and 39,566 nodes.
+        (35, 5, 17), (36, 6, 22), (40, 4, 17),
     ])
     def test_values_beyond_the_oracle(self, n, k, expected):
         # Past the exhaustive oracle's reach, so a bound or symmetry cut that
@@ -241,21 +252,21 @@ class TestChromaticNumber:
 # color order changes some of these.
 PINNED_BUDGET = SearchBudget(max_nodes=30_000)
 PINNED_B = {
-    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 8188),
-    (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 18345),
-    (40, 5): (24, (2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 22, 23, 24, 25,
-                   27, 28, 29, 30, 32, 33, 34, 35), STATUS_EXACT, 23606),
-    (32, 4): (13, (2, 3, 4, 6, 7, 9, 10, 11, 17, 22, 25, 26, 27),
+    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 1416),
+    (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 2736),
+    (40, 5): (24, (0, 3, 4, 5, 6, 8, 9, 10, 11, 13, 16, 19, 20, 23, 24, 25,
+                   26, 28, 29, 30, 31, 33, 36, 39), STATUS_EXACT, 10471),
+    (32, 4): (13, (0, 4, 5, 6, 8, 9, 11, 15, 19, 20, 24, 27, 31),
+              STATUS_EXACT, 14173),
+    (40, 8): (29, (0, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 16, 17, 19, 22, 23,
+                   24, 25, 26, 27, 29, 30, 32, 33, 34, 35, 36, 37, 38),
               STATUS_LOWER_BOUND_ONLY, 30001),
-    (40, 8): (29, (2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 16, 18, 21, 22, 23,
-                   24, 25, 26, 28, 29, 31, 32, 33, 34, 35, 36, 37, 39),
-              STATUS_LOWER_BOUND_ONLY, 30001),
-    (36, 6): (22, (2, 3, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15, 16, 19, 20, 21,
-                   22, 24, 28, 31, 32, 33), STATUS_LOWER_BOUND_ONLY, 30001),
-    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 241),
-    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 478),
-    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 308),
-    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 912),
+    (36, 6): (22, (0, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 16, 18, 21, 22, 23,
+                   25, 27, 30, 31, 32, 34), STATUS_LOWER_BOUND_ONLY, 30001),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 74),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 245),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 175),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 451),
 }
 PINNED_CHI = {
     (20, 3): (4, (0, 0, 1, 1, 0, 0, 1, 2, 2, 3, 2, 0, 3, 3, 0, 2, 2, 1, 3, 1),
