@@ -131,28 +131,27 @@ def independence_number(
     minus the forbidden-set construction when k | N and that is larger.
 
     The tree is split by the maps x -> ux + t, u a unit mod N, which carry
-    progressions to progressions and keep gcd(x, N).  Translate a maximum
-    set so that its complement C holds 0, let g be the least gcd(x, N) over
-    the rest of C, and multiply by a unit taking such an x to g: the image
-    excludes 0 and g and includes every x with gcd(x, N) < g.  So one branch
-    per proper divisor g of N, in increasing g, searching only such sets,
-    covers every maximum set whose complement has two points or more.  Only
-    k >= N, with no edge missing 0, has a smaller one; there no branch runs
-    and the greedy seed (Z_N, or Z_N minus N - 1) is maximum.  The incumbent
-    carries from branch to branch; the node and time budgets cover the call.
-
-    For g = 1, C holds two points a unit u apart.  Among the images
-    x -> (x - c)/u, c in C, take one whose run c, c + u, ... of C is
-    longest, and translate it by +1.  With L >= 2 the run's length, the
-    image holds 0 and L + 1, excludes 1..L, and has no L + 1 cyclically
-    consecutive points out, or the run would be longer.  So g = 1 is one
-    branch per L = 2, 3, ... while N - L beats the incumbent; each decides
+    progressions to progressions.  For k < N a maximum set misses a point,
+    since Z_N holds the progression 0, 1, ..., k - 1.  If two points of its
+    complement C differ by a unit u, take among the images x -> (x - c)/u,
+    c in C, one whose run c, c + u, ... of C is longest, and translate it
+    by +1.  If no two do, translate a point of C to 1.  With L the run's
+    length (L = 1 in the second case) the image holds 0 and L + 1, excludes
+    1..L, and has no L + 1 cyclically consecutive points out, or the run
+    would be longer.  At L = 1 it also holds every x with x - 1 a unit, or
+    x and 1 would be two points of C a unit apart.  So the search is one
+    branch per L = 1, 2, ... while N - L beats the incumbent; each decides
     0..L + 1 first and refuses an exclusion that would make a run of L + 1.
+    For k >= N the greedy seed (Z_N, or Z_N minus N - 1) already has N - 1
+    points or more, so no branch runs.  The incumbent carries from branch to
+    branch; the node and time budgets cover the call.
+
     These constraints are closed under the reflection y -> L + 1 - y, which
-    swaps y and N + L + 1 - y.  The search completes these pairs middle
-    first.  A set and its reflection first differ at the same pair, one
-    holding only its smaller vertex and the other only its larger one, so
-    while every completed pair is tied (both in or both out) the next may
+    swaps y and N + L + 1 - y; at L = 1 the x with x - 1 a unit go to each
+    other, as (2 - y) - 1 = -(y - 1).  The search completes these pairs
+    middle first.  A set and its reflection first differ at the same pair,
+    one holding only its smaller vertex and the other only its larger one,
+    so while every completed pair is tied (both in or both out) the next may
     not hold only its smaller vertex.  This is a lex-leader cut (Crawford et
     al., KR 1996) on a canonical image (McKay, J. Algorithms 26, 1998).
     """
@@ -210,33 +209,24 @@ def independence_number(
         # While tied, idx may be out only if its partner w < idx is out too;
         # idx in with w out unties the pairs.  `run` counts the exclusions
         # since the last inclusion.
-        partner_in = tied and inc_mask & mirror[idx]
+        partner_in = tied and 2 * idx > s and inc_mask >> (s - idx) & 1
         if not alive & top[idx]:
             rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive,
-                tied and (partner_in or not mirror[idx]), 0)
+                tied and (partner_in or 2 * idx <= s), 0)
         if not (forced >> idx & 1 or partner_in or run == limit):
             rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied, run + 1)
 
     try:
-        if k < n:
-            # g = 1, one branch per longest run L = limit: 0 in, 1..L out,
-            # L + 1 in.
-            forced, alive = 0, full & keep[1]
-            for limit in range(2, n - 1):
-                if n - limit <= best:
-                    break
-                alive &= keep[limit]
-                # mirror[y]: the bit of y's partner N + L + 1 - y if it is first.
-                s = n + limit + 1
-                mirror = [1 << (s - y) if 2 * y > s else 0 for y in range(n)]
-                rec(limit + 2, 1 | 1 << (limit + 1), 2, alive, True, 0)
-            limit = n  # no run limit
-            for g in (d for d in range(2, n // 2 + 1) if n % d == 0):
-                # 0 and g out, 1..g-1 in; later x with gcd(x, N) < g forced in.
-                forced = sum(1 << x for x in range(1, n) if gcd(x, n) < g)
-                alive = full & keep[0] & keep[g]
-                if not any(alive & top[x] for x in range(1, g)):
-                    rec(g + 1, (1 << g) - 2, g - 1, alive, False, 0)
+        # One branch per longest run L = limit: 0 in, 1..L out, L + 1 in.
+        alive = full
+        for limit in range(1, n - 1):
+            if n - limit <= best:
+                break
+            alive &= keep[limit]
+            forced = (sum(1 << x for x in range(n) if gcd(x - 1, n) == 1)
+                      if limit == 1 else 0)
+            s = n + limit + 1  # y's partner is s - y
+            rec(limit + 2, 1 | 1 << (limit + 1), 2, alive, True, 0)
         status = STATUS_EXACT
     except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY

@@ -470,7 +470,7 @@ class TestExactCommand:
                            "--what", "b", "--format", "json")
         doc = json.loads(out)
         assert code == 0 and isinstance(doc.pop("elapsed"), float)
-        assert doc == {"k": 4, "modulus": 12, "nodes_explored": 23,
+        assert doc == {"k": 4, "modulus": 12, "nodes_explored": 14,
                        "status": "exact", "value": 7,
                        "witness": [0, 1, 2, 4, 5, 8, 9]}
 

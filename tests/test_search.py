@@ -32,7 +32,8 @@ def assert_proper(n, k, coloring):
 class TestIndependenceNumber:
     @pytest.mark.parametrize("n,k,expected", [
         (12, 4, 7), (9, 3, 4),
-        # Moduli with many divisors, so many branches of the search.
+        # Moduli with many divisors: few units, so the L = 1 branch forces
+        # few points in.
         (24, 3, 8), (24, 4, 11), (24, 5, 16), (24, 6, 17), (30, 3, 8),
     ])
     def test_frozen_values(self, n, k, expected):
@@ -99,9 +100,9 @@ class TestIndependenceNumber:
         assert not helpers.contains_progression(res.witness, 21, 3)
 
     def test_budget_kill_after_first_branch_keeps_its_incumbent(self):
-        # The longest-run branches of b(30,3), which cover g = 1, end at node
-        # 1,328 of 1,416, so a budget one node short of the whole tree runs
-        # out in a later branch.
+        # b(30,3) runs one branch per longest run L = 1..21: L = 1 ends at
+        # node 6 and L = 20 at node 1,333 of 1,334, so a budget one node short
+        # of the whole tree runs out in the last branch.
         whole = independence_number(30, 3)
         assert whole.status == STATUS_EXACT
         max_nodes = whole.nodes_explored - 1
@@ -119,6 +120,9 @@ class TestIndependenceNumber:
         (34, 3, 10), (30, 4, 14), (33, 4, 18), (36, 7, 26),
         # Full trees of 153,562, 61,048 and 39,566 nodes.
         (35, 5, 17), (36, 6, 22), (40, 4, 17),
+        # Only the L = 1 branch, no two excluded points a unit apart, holds a
+        # maximum set: 24 and 28 nodes.
+        (21, 8, 18), (25, 6, 20),
     ])
     def test_values_beyond_the_oracle(self, n, k, expected):
         # Past the exhaustive oracle's reach, so a bound or symmetry cut that
@@ -252,21 +256,21 @@ class TestChromaticNumber:
 # color order changes some of these.
 PINNED_BUDGET = SearchBudget(max_nodes=30_000)
 PINNED_B = {
-    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 1416),
+    (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 1334),
     (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 2736),
     (40, 5): (24, (0, 3, 4, 5, 6, 8, 9, 10, 11, 13, 16, 19, 20, 23, 24, 25,
-                   26, 28, 29, 30, 31, 33, 36, 39), STATUS_EXACT, 10471),
+                   26, 28, 29, 30, 31, 33, 36, 39), STATUS_EXACT, 10142),
     (32, 4): (13, (0, 4, 5, 6, 8, 9, 11, 15, 19, 20, 24, 27, 31),
-              STATUS_EXACT, 14173),
+              STATUS_EXACT, 14169),
     (40, 8): (29, (0, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 16, 17, 19, 22, 23,
                    24, 25, 26, 27, 29, 30, 32, 33, 34, 35, 36, 37, 38),
               STATUS_LOWER_BOUND_ONLY, 30001),
     (36, 6): (22, (0, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 16, 18, 21, 22, 23,
                    25, 27, 30, 31, 32, 34), STATUS_LOWER_BOUND_ONLY, 30001),
-    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 74),
-    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 245),
-    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 175),
-    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 451),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 73),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 214),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 180),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 455),
 }
 PINNED_CHI = {
     (20, 3): (4, (0, 0, 1, 1, 0, 0, 1, 2, 2, 3, 2, 0, 3, 3, 0, 2, 2, 1, 3, 1),
