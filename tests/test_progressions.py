@@ -1,10 +1,13 @@
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclicvdw import (
+    CyclicProgression,
     DegenerateProgressionError,
     InvalidArgumentError,
     canonical_diffs,
@@ -15,6 +18,7 @@ from cyclicvdw import (
     find_contained_progression,
     make_progression,
 )
+from cyclicvdw import progressions
 from cyclicvdw.progressions import (
     METHOD_BRUTE_FORCE,
     METHOD_CLOSED_FORM,
@@ -22,6 +26,14 @@ from cyclicvdw.progressions import (
 )
 
 import helpers
+
+
+@pytest.fixture
+def restore_gc():
+    """Puts the cycle collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
 
 
 class TestCanonicalDiffs:
@@ -80,6 +92,38 @@ class TestMakeProgression:
         assert make_progression(12, 8, 4, 3) in enumerate_progressions(12, 3)
 
 
+class TestCyclicProgressionRecord:
+    def test_equal_and_same_hash_across_generating_pairs(self):
+        a = make_progression(12, 0, 4, 3)
+        b = make_progression(12, 4, 4, 3)
+        c = CyclicProgression(modulus=12, elements=(0, 4, 8))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+
+    def test_unequal_across_moduli_and_to_plain_tuples(self):
+        p = CyclicProgression(12, (0, 1, 2))
+        assert p != CyclicProgression(13, (0, 1, 2))
+        assert p != CyclicProgression(12, (0, 1, 3))
+        assert p != (0, 1, 2)
+        assert p != (12, (0, 1, 2))
+
+    @pytest.mark.parametrize("field,value", [("modulus", 1), ("elements", ())])
+    def test_fields_are_read_only(self, field, value):
+        p = CyclicProgression(12, (0, 4, 8))
+        with pytest.raises(AttributeError):
+            setattr(p, field, value)
+        assert (p.modulus, p.elements) == (12, (0, 4, 8))
+
+    def test_repr(self):
+        assert (repr(make_progression(12, 8, 4, 3))
+                == "CyclicProgression(modulus=12, elements=(0, 4, 8))")
+
+    def test_record_size(self):
+        # The enumeration holds about N^2/2 records at once.
+        assert sys.getsizeof(CyclicProgression(12, (0, 4, 8))) <= 48
+
+
 class TestEnumerateProgressions:
     def test_full_ring_collapses_to_one(self):
         progs = enumerate_progressions(9, 9)
@@ -102,12 +146,35 @@ class TestEnumerateProgressions:
         with pytest.raises(InvalidArgumentError):
             enumerate_progressions(10_001, 3)
 
-    @pytest.mark.parametrize("n", range(3, 31))
+    @pytest.mark.parametrize("n", [*range(3, 31), 97, 360])
     def test_dedupe_matches_brute_force(self, n):
-        for k in range(3, n + 1):
+        # Past N = 30 a single k checks the bulk path at scale.
+        for k in {97: [3], 360: [6]}.get(n, range(3, n + 1)):
             progs = enumerate_progressions(n, k)
             assert [p.elements for p in progs] == sorted(
                 tuple(sorted(e)) for e in helpers.brute_progression_sets(n, k))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_collector_state_as_found(self, enabled, restore_gc):
+        (gc.enable if enabled else gc.disable)()
+        assert enumerate_progressions(30, 3)
+        assert gc.isenabled() is enabled
+
+    def test_collector_back_on_when_emission_raises(self, monkeypatch, restore_gc):
+        built = []
+
+        def failing_record(modulus, elements):
+            if len(built) == 5:
+                raise RuntimeError("record constructor failed")
+            built.append(elements)
+            return CyclicProgression(modulus, elements)
+
+        monkeypatch.setattr(progressions, "CyclicProgression", failing_record)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            enumerate_progressions(30, 3)
+        assert len(built) == 5
+        assert gc.isenabled()
 
     def test_single_congruence_class_for_dividing_diffs(self):
         # Progressions whose difference divides N stay in one class mod d.
