@@ -14,12 +14,10 @@ from .coloring import (
 from .construction import (
     BoundsReport,
     ForbiddenSet,
-    ProgressionClassWitness,
     build_avoiding,
     build_forbidden,
     forbidden_size_formula,
     theorem_bounds,
-    witness_class,
 )
 from .errors import (
     BudgetExceededError,
@@ -66,7 +64,6 @@ __all__ = [
     "InternalInconsistencyError",
     "InvalidArgumentError",
     "PartitionPlan",
-    "ProgressionClassWitness",
     "ResultsCache",
     "SearchBudget",
     "WcBoundRow",
@@ -87,5 +84,4 @@ __all__ = [
     "split_alternating",
     "theorem_bounds",
     "wc_lower_bounds",
-    "witness_class",
 ]

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
-from .progressions import (
-    METHOD_CLOSED_FORM,
-    CyclicProgression,
-    _require,
-    difference_gcd_set,
-)
+from .progressions import METHOD_CLOSED_FORM, _require, difference_gcd_set
 from .serialize import record_dict
 
 EXACT_BY_SINGLETON = "D-singleton"
@@ -65,23 +59,6 @@ class BoundsReport:
     to_dict = record_dict
 
 
-@dataclass(frozen=True)
-class ProgressionClassWitness:
-    """Why a given progression A must meet F: its congruence class beta mod d,
-    the lattice S of residues = -alpha mod k, the run of d cyclically
-    consecutive S-elements inside A, and one of them landing in F."""
-
-    m: int
-    k: int
-    progression: tuple[int, ...]
-    d: int
-    beta: int
-    alpha: int
-    lattice: tuple[int, ...]
-    window: tuple[int, ...]
-    hit: int
-
-
 def closed_diffs(m: int, k: int) -> tuple[int, ...]:
     """Sorted D(mk, k) = {g : 1 <= g <= m, g | k}."""
     _require(m >= 1, f"m must be positive, got {m}")
@@ -128,53 +105,3 @@ def theorem_bounds(m: int, k: int) -> BoundsReport:
     if lower == upper:
         return BoundsReport(m, k, lower, upper, upper, EXACT_BY_SINGLETON)
     return BoundsReport(m, k, lower, upper)
-
-
-def witness_class(m: int, k: int, a: CyclicProgression) -> ProgressionClassWitness:
-    """Trace why progression A meets F: A must have a generating difference
-    d in D(mk, k); its elements then sit in one class beta mod d and contain
-    d cyclically consecutive points of the lattice S = {jk - alpha}, one of
-    which has index >= d and therefore lies in F."""
-    n = m * k
-    _require(a.modulus == n, f"progression modulus {a.modulus} != mk = {n}")
-    _require(len(a.elements) == k, f"progression length {len(a.elements)} != k = {k}")
-    d = base = None
-    elems = set(a.elements)
-    for cand in closed_diffs(m, k):
-        for t in a.elements:
-            if {(t + i * cand) % n for i in range(k)} == elems:
-                d, base = cand, t
-                break
-        if d is not None:
-            break
-    if d is None:
-        raise InvalidArgumentError(
-            f"progression has no generating difference in D({n},{k})"
-        )
-    beta = base % d
-    alpha = d - beta
-    lattice = tuple((j * k - alpha) % n for j in range(1, m + 1))
-    # Smallest r0 in [0, k/d) with d*r == -(alpha + base) (mod k); stepping by
-    # k/d from it walks the window of d consecutive lattice indices inside A.
-    step = k // d
-    r0 = ((-(alpha + base)) % k // d) % step
-    window = tuple(
-        sorted((base + d * (r0 + u * step)) % n for u in range(d))
-    )
-    forbidden = set(build_forbidden(m, k).union)
-    hit = None
-    for w in window:
-        if w not in elems:
-            raise InvalidArgumentError(
-                f"window element {w} escaped the progression; unexpected structure"
-            )
-        j = (w + alpha) // k  # lattice index in 1..m
-        if j >= d and hit is None:
-            hit = w
-    if hit is None or hit not in forbidden:
-        raise InvalidArgumentError(
-            f"no window element landed in F for progression {a.elements}"
-        )
-    return ProgressionClassWitness(
-        m, k, a.elements, d, beta, alpha, lattice, window, hit
-    )

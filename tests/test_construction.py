@@ -9,11 +9,9 @@ from cyclicvdw import (
     build_partition,
     find_contained_progression,
     forbidden_size_formula,
-    make_progression,
     theorem_bounds,
-    witness_class,
 )
-from cyclicvdw.construction import EXACT_BY_SINGLETON, EXACT_NONE, closed_diffs
+from cyclicvdw.construction import EXACT_BY_SINGLETON, closed_diffs
 
 import helpers
 
@@ -155,67 +153,6 @@ class TestExactness:
             for k in range(3, 41):
                 assert ((theorem_bounds(m, k).exact is not None)
                         == (closed_diffs(m, k) == (1,))), (m, k)
-
-
-class TestWitnessClass:
-    def test_unit_difference_witness(self):
-        a = make_progression(45, 0, 1, 15)
-        w = witness_class(3, 15, a)
-        assert (w.d, w.beta, w.alpha) == (1, 0, 1)
-        assert w.lattice == (14, 29, 44)
-        assert w.window == (14,)
-        assert w.hit == 14
-
-    def test_difference_three_witness(self):
-        a = make_progression(45, 1, 3, 15)
-        w = witness_class(3, 15, a)
-        assert (w.d, w.beta, w.alpha) == (3, 1, 2)
-        assert w.window == (13, 28, 43)
-        assert w.hit == 43
-        assert w.hit in build_forbidden(3, 15).union
-
-    def test_unit_difference_window_is_singleton(self):
-        for t in range(0, 12, 5):
-            a = make_progression(12, t, 1, 4)
-            w = witness_class(3, 4, a)
-            assert len(w.window) == 1
-            assert w.window[0] in {3, 7, 11}
-
-    def test_rejects_progressions_outside_difference_set(self):
-        # Canonical difference 6 with gcd class 2, but no generating
-        # difference of this set divides k.
-        a = make_progression(20, 0, 6, 4)
-        with pytest.raises(InvalidArgumentError):
-            witness_class(5, 4, a)
-
-    def test_window_lemma_over_small_grid(self):
-        from cyclicvdw import enumerate_progressions
-        for mk in range(3, 101):
-            for k in range(3, mk + 1):
-                if mk % k:
-                    continue
-                m = mk // k
-                dset = closed_diffs(m, k)
-                forb = set(build_forbidden(m, k).union)
-                for p in enumerate_progressions(mk, k):
-                    elems = set(p.elements)
-                    if not any(
-                        {(t + i * d) % mk for i in range(k)} == elems
-                        for d in dset for t in p.elements
-                    ):
-                        continue
-                    w = witness_class(m, k, p)
-                    assert len(w.window) == w.d
-                    assert set(w.window) <= set(p.elements)
-                    assert w.hit in forb
-                    # Window occupies d cyclically consecutive lattice slots.
-                    idx = sorted((x + w.alpha) // k - 1 for x in w.window)
-                    runs = {(idx[0] - i) % m for i, _ in enumerate(idx)}
-                    spans = [
-                        sorted(((start + i) % m for i in range(w.d)))
-                        for start in runs
-                    ]
-                    assert idx in spans
 
 
 class TestBoundSanity:
