@@ -22,7 +22,6 @@ from .construction import (
 from .errors import (
     BudgetExceededError,
     CyclicVdwError,
-    DegenerateProgressionError,
     InternalInconsistencyError,
     InvalidArgumentError,
 )
@@ -36,7 +35,6 @@ from .progressions import (
     difference_gcd_set,
     enumerate_progressions,
     find_contained_progression,
-    make_progression,
 )
 from .search import (
     ColoringResult,
@@ -57,7 +55,6 @@ __all__ = [
     "ConjectureReport",
     "CyclicProgression",
     "CyclicVdwError",
-    "DegenerateProgressionError",
     "DifferenceSet",
     "ForbiddenSet",
     "IndependenceResult",
@@ -80,7 +77,6 @@ __all__ = [
     "forbidden_size_formula",
     "independence_number",
     "is_r_colorable",
-    "make_progression",
     "split_alternating",
     "theorem_bounds",
     "wc_lower_bounds",

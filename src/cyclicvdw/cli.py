@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         emit(args.func(args), args.format)
-    except (InvalidArgumentError, OSError) as exc:
+    except (InvalidArgumentError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInconsistencyError as exc:

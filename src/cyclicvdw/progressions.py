@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import attrgetter, itemgetter
 
-from .errors import (
-    DegenerateProgressionError,
-    InvalidArgumentError,
-)
+from .errors import InvalidArgumentError
 from .serialize import record_dict
 
 # Enumeration refuses moduli above this.  Its list holds N*|canonical_diffs|,
@@ -81,26 +78,6 @@ def canonical_diffs(modulus: int, k: int) -> tuple[int, ...]:
     return tuple(
         d for d in range(1, (modulus + 1) // 2) if k * gcd(modulus, d) <= modulus
     )
-
-
-def make_progression(modulus: int, base: int, diff: int, k: int) -> CyclicProgression:
-    """Build the progression {(base + i*diff) mod N : 0 <= i < k}.
-
-    Fails with DegenerateProgressionError when the k generated values are not
-    all distinct.
-    """
-    _require(modulus >= 1, f"modulus must be positive, got {modulus}")
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    base %= modulus
-    diff %= modulus
-    seen = set()
-    x = base
-    for _ in range(k):
-        seen.add(x)
-        x = (x + diff) % modulus
-    if len(seen) < k:
-        raise DegenerateProgressionError(modulus, base, diff, k, len(seen))
-    return CyclicProgression(modulus, tuple(sorted(seen)))
 
 
 def enumerate_progressions(modulus: int, k: int) -> list[CyclicProgression]:
@@ -180,7 +157,9 @@ def find_contained_progression(
             if not hits:
                 break
         else:
-            return make_progression(modulus, (hits & -hits).bit_length() - 1, d, k)
+            t = (hits & -hits).bit_length() - 1
+            return CyclicProgression(
+                modulus, tuple(sorted((t + i * d) % modulus for i in range(k))))
     return None
 
 

@@ -32,6 +32,8 @@ RESIDUE_FILE = "# trial sets mod 12\n0,1,2,4,5,8,9\n0,3,6,9\n"
 INCOMPLETE_EXACT_B9 = json.dumps({"key": {"op": "exact", "n": 9, "k": 3, "what": "b"},
                                   "status": "exact", "value": {}}) + "\n"
 
+# Past Python's limits on range lengths, list sizes and shift counts.
+HUGE = str(10**30)
 
 
 def drop_first_forbidden(monkeypatch):
@@ -561,6 +563,12 @@ class TestExactCommand:
                                  "--what", what)
             assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_huge_forced_modulus_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "exact", "--n", HUGE, "--k", "3",
+                             "--what", "b", "--force")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_search_past_the_recursion_limit_is_a_usage_error(self, capsys,
                                                              monkeypatch):
         def too_deep(n, k, budget):
@@ -698,6 +706,12 @@ class TestSweepCommand:
                            "--what", "bounds")
         assert code == 2 and "k in the sweep" in err
 
+    def test_huge_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--k", "3", "--m", f"1..{HUGE}",
+                             "--what", "bounds")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestConjectureCommand:
     def test_proven_slice_agrees(self, capsys):
@@ -732,6 +746,12 @@ class TestConjectureCommand:
         assert code == 0
         assert out.splitlines()[-1] == "summary: agree=2"
 
+    def test_huge_range_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "conjecture", "--m", "2..3", "--n",
+                             f"1..{HUGE}", "--k", "3")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestVerifyFileCommand:
     def test_mixed_file(self, capsys, tmp_path):
@@ -757,6 +777,14 @@ class TestVerifyFileCommand:
         code, out, err = run(capsys, "verify-file", str(path),
                              "--n", "12", "--k", "3")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_huge_residue_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "sets.txt"
+        path.write_text(f"0,1,{10**24}\n")
+        code, out, err = run(capsys, "verify-file", str(path),
+                             "--n", HUGE, "--k", "3")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("contents", ["", "0,1\n"])
     @pytest.mark.parametrize("flags", [("--n", "5", "--k", "2"),

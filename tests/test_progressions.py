@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cyclicvdw import (
     CyclicProgression,
-    DegenerateProgressionError,
     InvalidArgumentError,
     canonical_diffs,
     check_conjecture,
@@ -16,7 +15,6 @@ from cyclicvdw import (
     difference_gcd_set,
     enumerate_progressions,
     find_contained_progression,
-    make_progression,
 )
 from cyclicvdw import progressions
 from cyclicvdw.progressions import (
@@ -64,42 +62,20 @@ class TestCanonicalDiffs:
         k, n = kn
         admissible = set(canonical_diffs(n, k))
         for d in range(1, (n + 1) // 2):
-            try:
-                make_progression(n, 0, d, k)
-                generated = True
-            except DegenerateProgressionError:
-                generated = False
+            generated = len({i * d % n for i in range(k)}) == k
             assert generated == (d in admissible)
-
-
-class TestMakeProgression:
-    def test_even_six_term(self):
-        p = make_progression(12, 0, 2, 6)
-        assert p.elements == (0, 2, 4, 6, 8, 10)
-
-    def test_five_term(self):
-        p = make_progression(12, 2, 2, 5)
-        assert p.elements == (2, 4, 6, 8, 10)
-
-    def test_degenerate_reports_distinct_count(self):
-        with pytest.raises(DegenerateProgressionError) as exc:
-            make_progression(12, 0, 4, 6)
-        assert exc.value.distinct == 3
-
-    def test_equal_element_sets_are_equal(self):
-        # A progression is its element set, whichever pair generated it.
-        assert make_progression(12, 0, 4, 3) == make_progression(12, 4, 4, 3)
-        assert make_progression(12, 8, 4, 3) in enumerate_progressions(12, 3)
 
 
 class TestCyclicProgressionRecord:
     def test_equal_and_same_hash_across_generating_pairs(self):
-        a = make_progression(12, 0, 4, 3)
-        b = make_progression(12, 4, 4, 3)
+        # A progression is its element set, whichever pair generated it.
+        a = CyclicProgression(12, tuple(sorted(i * 4 % 12 for i in range(3))))
+        b = CyclicProgression(12, tuple(sorted((4 + i * 4) % 12 for i in range(3))))
         c = CyclicProgression(modulus=12, elements=(0, 4, 8))
         assert a == b == c
         assert hash(a) == hash(b) == hash(c)
         assert len({a, b, c}) == 1
+        assert CyclicProgression(12, (0, 4, 8)) in enumerate_progressions(12, 3)
 
     def test_unequal_across_moduli_and_to_plain_tuples(self):
         p = CyclicProgression(12, (0, 1, 2))
@@ -116,7 +92,7 @@ class TestCyclicProgressionRecord:
         assert (p.modulus, p.elements) == (12, (0, 4, 8))
 
     def test_repr(self):
-        assert (repr(make_progression(12, 8, 4, 3))
+        assert (repr(CyclicProgression(12, (0, 4, 8)))
                 == "CyclicProgression(modulus=12, elements=(0, 4, 8))")
 
     def test_record_size(self):
@@ -184,9 +160,10 @@ class TestEnumerateProgressions:
                     continue
                 for d in canonical_diffs(n, k):
                     if n % d == 0:
+                        assert len({i * d % n for i in range(k)}) == k
                         for t in range(n):
-                            p = make_progression(n, t, d, k)
-                            assert len({x % d for x in p.elements}) == 1
+                            elements = {(t + i * d) % n for i in range(k)}
+                            assert len({x % d for x in elements}) == 1
 
 
 class TestFindContainedProgression:
@@ -250,9 +227,8 @@ class TestFindContainedProgression:
             else:
                 assert got is not None, (n, k, sorted(s))
                 t, d = expected
-                assert got.elements == tuple(
-                    sorted((t + i * d) % n for i in range(k))
-                )
+                assert got == CyclicProgression(
+                    n, tuple(sorted((t + i * d) % n for i in range(k))))
 
 
 class TestIsProperColoring:
