@@ -3,7 +3,7 @@ difference-gcd sets, forbidden-set constructions and independence-number
 bounds, exact search at small N, proper colorings, and the resulting cyclic
 Van der Waerden lower bounds."""
 
-from .cache import CacheRecord, ResultsCache
+from .cache import ResultsCache
 from .coloring import (
     PartitionPlan,
     WcBoundRow,
@@ -28,7 +28,6 @@ from .errors import (
 from .progressions import (
     ConjectureReport,
     CyclicProgression,
-    DifferenceSet,
     canonical_diffs,
     check_conjecture,
     conjectured_difference_set,
@@ -50,12 +49,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsReport",
     "BudgetExceededError",
-    "CacheRecord",
     "ColoringResult",
     "ConjectureReport",
     "CyclicProgression",
     "CyclicVdwError",
-    "DifferenceSet",
     "ForbiddenSet",
     "IndependenceResult",
     "InternalInconsistencyError",

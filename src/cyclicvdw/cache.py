@@ -11,24 +11,11 @@ import fcntl
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .search import STATUS_EXACT
-from .serialize import record_dict
 
 TOOL_VERSION = "0.1.0"
-
-
-@dataclass(frozen=True)
-class CacheRecord:
-    key: dict
-    status: str
-    value: dict
-    tool_version: str
-    timestamp: float
-
-    to_dict = record_dict
 
 
 def _canon(key: dict) -> str:
@@ -36,11 +23,12 @@ def _canon(key: dict) -> str:
 
 
 class ResultsCache:
-    """JSON-lines cache file of exact records; the later of two for a key wins."""
+    """JSON-lines cache file of exact records; the later of two for a key wins.
+    A line holds key, status, value, tool_version and timestamp."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self._records: dict[str, CacheRecord] = {}
+        self._values: dict[str, dict] = {}
         # Lines that are not a record (a JSON object whose key and value are
         # objects and whose status is a string), e.g. one torn by a killed writer.
         self.corrupt_lines = 0
@@ -51,31 +39,30 @@ class ResultsCache:
                         continue
                     try:
                         d = json.loads(line)
-                        rec = CacheRecord(
-                            d["key"], d["status"], d["value"],
-                            d.get("tool_version", ""), d.get("timestamp", 0.0),
-                        )
-                        ok = (isinstance(rec.key, dict)
-                              and isinstance(rec.value, dict)
-                              and isinstance(rec.status, str))
+                        key, status, value = d["key"], d["status"], d["value"]
+                        ok = (isinstance(key, dict) and isinstance(value, dict)
+                              and isinstance(status, str))
                     except (ValueError, KeyError, TypeError, RecursionError):
                         ok = False
                     if not ok:
                         self.corrupt_lines += 1
-                    elif rec.status == STATUS_EXACT:
-                        self._records[_canon(rec.key)] = rec
+                    elif status == STATUS_EXACT:
+                        self._values[_canon(key)] = value
 
-    def get(self, key: dict) -> CacheRecord | None:
-        return self._records.get(_canon(key))
+    def get(self, key: dict) -> dict | None:
+        """The value of the exact record for `key`, or None."""
+        return self._values.get(_canon(key))
 
-    def put(self, key: dict, status: str, value: dict) -> None:
-        """Store and append an exact record; any other status is dropped."""
+    def put(self, key: dict, value: dict) -> None:
+        """Store and append `value` when its status is exact; drop it otherwise."""
+        status = value.get("status")
         if status != STATUS_EXACT:
             return
-        rec = CacheRecord(key, status, value, TOOL_VERSION, time.time())
-        self._records[_canon(key)] = rec
+        self._values[_canon(key)] = value
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(rec.to_dict(), sort_keys=True) + "\n"
+        line = {"key": key, "status": status, "value": value,
+                "tool_version": TOOL_VERSION, "timestamp": time.time()}
+        text = json.dumps(line, sort_keys=True) + "\n"
         with self.path.open("ab+") as fh:
             # One writer at a time, so the end seen below stays the end.
             fcntl.flock(fh, fcntl.LOCK_EX)
@@ -88,4 +75,4 @@ class ResultsCache:
             fh.write(text.encode("utf-8"))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._values)

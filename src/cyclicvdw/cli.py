@@ -88,13 +88,13 @@ def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
     The cache holds exact records only, and the witness or coloring must pass
     the check that a fresh search answer passes: `progressions.is_free_witness`
     for b, `progressions.is_proper_coloring` for chi."""
-    rec = cache.get(key) if cache is not None else None
-    if rec is None:
+    value = cache.get(key) if cache is not None else None
+    if value is None:
         return None
-    n, k, value = key["n"], key["k"], rec.value
+    n, k = key["n"], key["k"]
     modulus, length, size = (value.get(f) for f in ("modulus", "k", "value"))
     if not (all(type(x) is int for x in (modulus, length, size))
-            and (modulus, length) == (n, k) and value.get("status") == rec.status):
+            and (modulus, length, value.get("status")) == (n, k, search.STATUS_EXACT)):
         return None
     if key["what"] == "b":
         ok = progressions.is_free_witness(n, k, size, value.get("witness"))
@@ -104,20 +104,25 @@ def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
 
 
 def cmd_diffs(args) -> Output:
-    closed, brute = progressions.METHOD_CLOSED_FORM, progressions.METHOD_BRUTE_FORCE
-    methods = {"closed": [closed], "brute": [brute], "both": [closed, brute]}
-    sets = [progressions.difference_gcd_set(args.n, args.k, method)
-            for method in methods[args.method]]
-    rows = [{"modulus": args.n, "k": args.k, "method": ds.method,
-             "values": _joined(ds.values)} for ds in sets]
-    text = "{" + ",".join(map(str, sets[0].values)) + "}"
-    doc = sets[0].to_dict()
-    if args.method == "both":
-        agrees = sets[0].values == sets[1].values
+    n, k = args.n, args.k
+    progressions._require(k >= 3, f"k must be >= 3, got {k}")
+    sets = {}
+    if args.method != "brute":
+        progressions._require(
+            n % k == 0, f"closed form requires k | N, got N={n}, k={k}")
+        sets["closed_form"] = construction.closed_diffs(n // k, k)
+    if args.method != "closed":
+        sets["brute_force"] = progressions.difference_gcd_set(n, k)
+    rows = [{"modulus": n, "k": k, "method": method, "values": _joined(values)}
+            for method, values in sets.items()]
+    (method, values), *rest = sets.items()
+    text = "{" + ",".join(map(str, values)) + "}"
+    doc = {"modulus": n, "length": k, "method": method, "values": list(values)}
+    if rest:
+        agrees = values == rest[0][1]
         text += f" agree={str(agrees).lower()}"
-        doc = {"modulus": args.n, "length": args.k, "agrees": agrees,
-               "closed_form": list(sets[0].values),
-               "brute_force": list(sets[1].values)}
+        doc = {"modulus": n, "length": k, "agrees": agrees,
+               **{name: list(vals) for name, vals in sets.items()}}
     return Output(["modulus", "k", "method", "values"], rows, [text], doc)
 
 
@@ -169,7 +174,7 @@ def cmd_exact(args) -> Output:
                 f"N={args.n} is too large for the search's recursion depth") from None
         value = result.to_dict()
         if cache is not None:
-            cache.put(key, result.status, value)
+            cache.put(key, value)
     row = {"what": args.what, "modulus": value["modulus"], "k": value["k"],
            "value": value["value"], "status": value["status"]}
     line = f"{args.what}({args.n},{args.k}) = {value['value']} ({value['status']})"
@@ -358,6 +363,9 @@ def main(argv=None) -> int:
         emit(args.func(args), args.format)
     except (InvalidArgumentError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
         return EXIT_USAGE
     except InternalInconsistencyError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .progressions import METHOD_CLOSED_FORM, _require, difference_gcd_set
+from .progressions import _require
 from .serialize import record_dict
 
 EXACT_BY_SINGLETON = "D-singleton"
@@ -60,9 +60,10 @@ class BoundsReport:
 
 
 def closed_diffs(m: int, k: int) -> tuple[int, ...]:
-    """Sorted D(mk, k) = {g : 1 <= g <= m, g | k}."""
+    """Sorted D(mk, k) = {g : 1 <= g <= m, g | k}, by the closed form."""
     _require(m >= 1, f"m must be positive, got {m}")
-    return difference_gcd_set(m * k, k, METHOD_CLOSED_FORM).values
+    _require(k >= 3, f"k must be >= 3, got {k}")
+    return tuple(g for g in range(1, m + 1) if k % g == 0)
 
 
 def build_forbidden(m: int, k: int) -> ForbiddenSet:

@@ -13,17 +13,12 @@ from math import gcd
 from operator import attrgetter, itemgetter
 
 from .errors import InvalidArgumentError
-from .serialize import record_dict
 
 # Enumeration refuses moduli above this.  Its list holds N*|canonical_diffs|,
 # about N^2/2, progressions (495,000 at (1000, 7), where |D| = 2) of about 150
 # bytes each at k = 7 (88 MB peak RSS at (1000, 7)); by arithmetic, not a run,
 # the cap admits about 50 million at k = 3, several GB.
 ENUMERATION_CAP = 10_000
-
-METHOD_BRUTE_FORCE = "brute_force"
-METHOD_CLOSED_FORM = "closed_form"
-METHOD_CONJECTURE = "conjecture"
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -53,18 +48,6 @@ class CyclicProgression:
     def __repr__(self) -> str:
         return (f"{self.__class__.__qualname__}(modulus={self._modulus!r}, "
                 f"elements={self._elements!r})")
-
-
-@dataclass(frozen=True)
-class DifferenceSet:
-    """The set D(N, k) of gcd(d, k) values over admissible common differences d."""
-
-    modulus: int
-    length: int
-    values: tuple[int, ...]
-    method: str
-
-    to_dict = record_dict
 
 
 def canonical_diffs(modulus: int, k: int) -> tuple[int, ...]:
@@ -186,33 +169,17 @@ def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
                for part in classes.values())
 
 
-def difference_gcd_set(
-    modulus: int, k: int, method: str = METHOD_BRUTE_FORCE
-) -> DifferenceSet:
-    """D(N, k), either by brute force over canonical differences or, when N is a
-    multiple of k, by the closed form {g : 1 <= g <= N/k, g | k}."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
-    _require(modulus >= k, f"D(N,k) needs N >= k, got N={modulus}, k={k}")
-    if method == METHOD_BRUTE_FORCE:
-        values = sorted({gcd(d, k) for d in canonical_diffs(modulus, k)})
-    elif method == METHOD_CLOSED_FORM:
-        _require(
-            modulus % k == 0,
-            f"closed form requires k | N, got N={modulus}, k={k}",
-        )
-        m = modulus // k
-        values = [g for g in range(1, m + 1) if k % g == 0]
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    return DifferenceSet(modulus, k, tuple(values), method)
+def difference_gcd_set(modulus: int, k: int) -> tuple[int, ...]:
+    """Sorted D(N, k): gcd(d, k) over the canonical differences d, by brute force.
+    The closed form for k | N is `construction.closed_diffs`."""
+    return tuple(sorted({gcd(d, k) for d in canonical_diffs(modulus, k)}))
 
 
-def conjectured_difference_set(m: int, n: int, k: int) -> DifferenceSet:
+def conjectured_difference_set(m: int, n: int, k: int) -> tuple[int, ...]:
     """The conjectured D(mk, nk) = {1 <= g <= m : g | nk} for m > n >= 1."""
     _require(m > n >= 1, f"need m > n >= 1, got m={m}, n={n}")
     _require(n * k >= 3, f"progression length nk must be >= 3, got {n * k}")
-    values = tuple(g for g in range(1, m + 1) if (n * k) % g == 0)
-    return DifferenceSet(m * k, n * k, values, METHOD_CONJECTURE)
+    return tuple(g for g in range(1, m + 1) if (n * k) % g == 0)
 
 
 @dataclass(frozen=True)
@@ -233,7 +200,5 @@ def check_conjecture(m: int, n: int, k: int) -> ConjectureReport:
     The brute force uses progression length nk and modulus mk.
     """
     conj = conjectured_difference_set(m, n, k)
-    brute = difference_gcd_set(m * k, n * k, METHOD_BRUTE_FORCE)
-    return ConjectureReport(
-        m, n, k, conj.values, brute.values, conj.values == brute.values
-    )
+    brute = difference_gcd_set(m * k, n * k)
+    return ConjectureReport(m, n, k, conj, brute, conj == brute)

@@ -63,7 +63,7 @@ class ColoringResult:
 def _edge_tables(n: int, k: int):
     """Masks over edge ids, where bit i stands for the i-th progression of
     enumerate_progressions(n, k), which checks (N, k) for the independence
-    search.
+    search before any table is built.
 
     keep[v] holds the edges not through v, top[v] the edges whose largest
     vertex is v, and verts[i] the vertices of edge i, largest first.  While
@@ -73,12 +73,13 @@ def _edge_tables(n: int, k: int):
     third-largest below it.  clear1[i] and clear2[i] hold the edges sharing
     no vertex with the largest one or two vertices of edge i.
     """
+    edges = enumerate_progressions(n, k)
     touch = [0] * n
     top = [0] * n
     second = [0] * n
     third = [0] * n
     verts = []
-    for i, p in enumerate(enumerate_progressions(n, k)):
+    for i, p in enumerate(edges):
         bit = 1 << i
         e = p.elements[::-1]
         for v in e:
@@ -265,10 +266,11 @@ def is_r_colorable(
 def _incidence(n: int, k: int) -> list[list[int]]:
     """For each vertex v, the masks of the other vertices of every edge of
     enumerate_progressions(n, k) through v, in edge order; the enumeration
-    checks (N, k) for the coloring search.
+    checks (N, k) for the coloring search before any list is built.
     """
+    edges = enumerate_progressions(n, k)
     inc: list[list[int]] = [[] for _ in range(n)]
-    for p in enumerate_progressions(n, k):
+    for p in edges:
         mask = 0
         for v in p.elements:
             mask |= 1 << v

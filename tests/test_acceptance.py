@@ -19,11 +19,8 @@ from cyclicvdw import (
     wc_lower_bounds,
 )
 from cyclicvdw.coloring import gamma_parts
-from cyclicvdw.progressions import (
-    METHOD_BRUTE_FORCE,
-    METHOD_CLOSED_FORM,
-    difference_gcd_set,
-)
+from cyclicvdw.construction import closed_diffs
+from cyclicvdw.progressions import difference_gcd_set
 from cyclicvdw.search import STATUS_EXACT, SearchBudget
 
 import helpers
@@ -85,9 +82,8 @@ def test_criterion_03_avoidance_by_full_enumeration():
 def test_criterion_04_difference_set_oracle_equivalence():
     ok = True
     for m, k in pairs(200):
-        n = m * k
-        closed = difference_gcd_set(n, k, METHOD_CLOSED_FORM).values
-        brute = difference_gcd_set(n, k, METHOD_BRUTE_FORCE).values
+        closed = closed_diffs(m, k)
+        brute = difference_gcd_set(m * k, k)
         if closed != brute:
             ok = False
     report(4, "closed-form D(mk,k) equals brute force for mk <= 200", ok)
@@ -136,7 +132,7 @@ def test_criterion_07_sandwich_property():
             continue
         if not (b.lower <= res.value <= b.upper):
             ok = False
-        diffs = difference_gcd_set(m * k, k, METHOD_CLOSED_FORM).values
+        diffs = closed_diffs(m, k)
         if len(diffs) > 1 and res.value >= b.upper:
             ok = False
     report(7, "exact values sit inside the bounds, strictly when |D| > 1", ok)

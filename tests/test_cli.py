@@ -97,6 +97,20 @@ GOLDEN = [
                "12,4,brute_force,1;2\n",
         "text": "{1,2} agree=true\n",
     }, id="diffs-both"),
+    pytest.param(("diffs", "--n", "12", "--k", "4", "--method", "closed"), {
+        "json": {"length": 4, "method": "closed_form", "modulus": 12,
+                 "values": [1, 2]},
+        "csv": "modulus,k,method,values\n"
+               "12,4,closed_form,1;2\n",
+        "text": "{1,2}\n",
+    }, id="diffs-closed"),
+    pytest.param(("diffs", "--n", "12", "--k", "5"), {
+        "json": {"length": 5, "method": "brute_force", "modulus": 12,
+                 "values": [1, 5]},
+        "csv": "modulus,k,method,values\n"
+               "12,5,brute_force,1;5\n",
+        "text": "{1,5}\n",
+    }, id="diffs-brute"),
     pytest.param(("construct", "--m", "3", "--k", "4"), {
         "json": {"F_0": [3, 7, 11], "F_1": [6, 10],
                  "bounds": {"exact": None, "exactness_reason": "none", "k": 4,
@@ -259,17 +273,17 @@ class TestResultsCache:
         path = tmp_path / "cache.jsonl"
         cache = ResultsCache(path)
         key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
-        cache.put(key, "exact", {"value": 7})
+        cache.put(key, {"status": "exact", "value": 7})
         reloaded = ResultsCache(path)
         assert len(reloaded) == 1
-        assert reloaded.get(key).value == {"value": 7}
+        assert reloaded.get(key) == {"status": "exact", "value": 7}
 
     def test_exact_never_displaced_by_bound(self, tmp_path):
         cache = ResultsCache(tmp_path / "cache.jsonl")
         key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
-        cache.put(key, "exact", {"value": 9})
-        cache.put(key, "lower_bound_only", {"value": 7})
-        assert cache.get(key).value == {"value": 9}
+        cache.put(key, {"status": "exact", "value": 9})
+        cache.put(key, {"status": "lower_bound_only", "value": 7})
+        assert cache.get(key) == {"status": "exact", "value": 9}
 
     def test_later_bound_only_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -279,31 +293,31 @@ class TestResultsCache:
             + json.dumps({"key": key, "status": "lower_bound_only",
                           "value": {"value": 7}}) + "\n")
         cache = ResultsCache(path)
-        assert cache.get(key).value == {"value": 8}
+        assert cache.get(key) == {"value": 8}
         assert len(cache) == 1 and cache.corrupt_lines == 0
 
     def test_bound_only_put_writes_nothing(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
         cache = ResultsCache(path)
-        cache.put(key, "lower_bound_only", {"value": 7})
+        cache.put(key, {"status": "lower_bound_only", "value": 7})
         assert cache.get(key) is None and len(cache) == 0
         assert not path.exists() or path.read_text() == ""
 
     def test_appended_line_fields(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
-        ResultsCache(path).put(key, "exact", {"value": 7, "witness": [0, 1]})
+        value = {"status": "exact", "value": 7, "witness": [0, 1]}
+        ResultsCache(path).put(key, value)
         line = json.loads(path.read_text())
         assert set(line) == {"key", "status", "value", "tool_version", "timestamp"}
-        assert (line["key"], line["status"], line["value"]) == (
-            key, "exact", {"value": 7, "witness": [0, 1]})
+        assert (line["key"], line["status"], line["value"]) == (key, "exact", value)
         assert isinstance(line["tool_version"], str)
         assert isinstance(line["timestamp"], float)
 
     def test_key_order_is_canonical(self, tmp_path):
         cache = ResultsCache(tmp_path / "cache.jsonl")
-        cache.put({"a": 1, "b": 2}, "exact", {})
+        cache.put({"a": 1, "b": 2}, {"status": "exact"})
         assert cache.get({"b": 2, "a": 1}) is not None
 
     def test_append_waits_for_the_file_lock(self, tmp_path):
@@ -313,14 +327,15 @@ class TestResultsCache:
         with path.open("ab") as holder:
             fcntl.flock(holder, fcntl.LOCK_EX)
             writer = threading.Thread(
-                target=ResultsCache(path).put, args=(key, "exact", {"value": 7}))
+                target=ResultsCache(path).put,
+                args=(key, {"status": "exact", "value": 7}))
             writer.start()
             writer.join(0.3)
             assert writer.is_alive() and path.read_text() == ""
             fcntl.flock(holder, fcntl.LOCK_UN)
             writer.join(10)
         assert not writer.is_alive()
-        assert ResultsCache(path).get(key).value == {"value": 7}
+        assert ResultsCache(path).get(key) == {"status": "exact", "value": 7}
 
     def test_torn_last_line_is_skipped_and_repaired(self, capsys, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -416,6 +431,13 @@ class TestDiffsCommand:
         code, _, err = run(capsys, "diffs", "--n", "12", "--k", "5",
                            "--method", "closed")
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    def test_zero_k_is_a_usage_error(self, capsys, method):
+        code, out, err = run(capsys, "diffs", "--n", "12", "--k", "0",
+                             "--method", method)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: k must be >= 3, got 0"]
 
     @pytest.mark.parametrize("n", ["-3", "0"])
     def test_modulus_below_k_is_a_usage_error(self, capsys, n):
@@ -815,6 +837,15 @@ class TestVerifyFileCommand:
 
 
 class TestUsage:
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        def exhausted(m, k):
+            raise MemoryError
+
+        monkeypatch.setattr(construction, "build_forbidden", exhausted)
+        code, out, err = run(capsys, "construct", "--m", "3", "--k", "4")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory; try a smaller input\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -17,11 +17,8 @@ from cyclicvdw import (
     find_contained_progression,
 )
 from cyclicvdw import progressions
-from cyclicvdw.progressions import (
-    METHOD_BRUTE_FORCE,
-    METHOD_CLOSED_FORM,
-    is_proper_coloring,
-)
+from cyclicvdw.construction import closed_diffs
+from cyclicvdw.progressions import is_proper_coloring
 
 import helpers
 
@@ -258,39 +255,38 @@ class TestDifferenceGcdSet:
         (90, 9, (1, 3, 9)),
     ])
     def test_closed_form_examples(self, n, k, expected):
-        assert difference_gcd_set(n, k, METHOD_CLOSED_FORM).values == expected
+        assert closed_diffs(n // k, k) == expected
 
     def test_brute_force_non_multiple(self):
         # k does not divide N here; no closed form applies.  Recorded outcome:
         # both gcd values divide k anyway.
-        ds = difference_gcd_set(12, 5, METHOD_BRUTE_FORCE)
-        assert ds.values == (1, 5)
-        assert ds.values == tuple(helpers.brute_difference_set(12, 5))
+        values = difference_gcd_set(12, 5)
+        assert values == (1, 5)
+        assert values == tuple(helpers.brute_difference_set(12, 5))
 
-    def test_closed_form_requires_divisibility(self):
-        with pytest.raises(InvalidArgumentError):
-            difference_gcd_set(12, 5, METHOD_CLOSED_FORM)
-
-    @pytest.mark.parametrize("method", [METHOD_CLOSED_FORM, METHOD_BRUTE_FORCE])
+    @pytest.mark.parametrize("diffs", [
+        pytest.param(lambda n: closed_diffs(n // 3, 3), id="closed_form"),
+        pytest.param(lambda n: difference_gcd_set(n, 3), id="brute_force"),
+    ])
     @pytest.mark.parametrize("n", [-3, 0])
-    def test_rejects_modulus_below_k(self, n, method):
+    def test_rejects_modulus_below_k(self, n, diffs):
         with pytest.raises(InvalidArgumentError):
-            difference_gcd_set(n, 3, method)
+            diffs(n)
 
     def test_methods_agree_when_k_divides_n(self):
         for n in range(3, 201):
             for k in range(3, n + 1):
                 if n % k:
                     continue
-                brute = difference_gcd_set(n, k, METHOD_BRUTE_FORCE).values
-                closed = difference_gcd_set(n, k, METHOD_CLOSED_FORM).values
+                brute = difference_gcd_set(n, k)
+                closed = closed_diffs(n // k, k)
                 assert brute == closed, (n, k)
 
     @given(st.integers(3, 60).flatmap(
         lambda k: st.tuples(st.just(k), st.integers(k, 120))))
     def test_one_always_present(self, kn):
         k, n = kn
-        assert 1 in difference_gcd_set(n, k, METHOD_BRUTE_FORCE).values
+        assert 1 in difference_gcd_set(n, k)
 
 
 class TestConjecture:
@@ -300,7 +296,7 @@ class TestConjecture:
         (4, 3, 1, (1, 3)),
     ])
     def test_conjectured_set(self, m, n, k, expected):
-        assert conjectured_difference_set(m, n, k).values == expected
+        assert conjectured_difference_set(m, n, k) == expected
 
     def test_rejects_m_not_above_n(self):
         with pytest.raises(InvalidArgumentError):

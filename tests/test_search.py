@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import pytest
 
@@ -309,3 +310,17 @@ def test_searches_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("solve", [independence_number, chromatic_number])
+def test_enumeration_cap_refuses_before_allocating(solve):
+    # N = 10^6 is past progressions.ENUMERATION_CAP: the refusal comes before
+    # any per-vertex table is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError):
+            solve(10**6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
