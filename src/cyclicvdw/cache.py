@@ -2,7 +2,10 @@
 canonical argument tuple of the producing operation.
 
 It holds exact answers only: a record of any other status is neither
-loaded nor written.
+loaded nor written.  `get` serves a stored answer only when it passes the
+check a fresh search answer passes: an exact value for the key's (n, k)
+whose witness passes `is_free_witness` (b) or whose coloring passes
+`is_proper_coloring` (any other `what`).  Anything else is a miss.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import os
 import time
 from pathlib import Path
 
+from .progressions import is_free_witness, is_proper_coloring
 from .search import STATUS_EXACT
 
 TOOL_VERSION = "0.1.0"
@@ -50,8 +54,20 @@ class ResultsCache:
                         self._values[_canon(key)] = value
 
     def get(self, key: dict) -> dict | None:
-        """The value of the exact record for `key`, or None."""
-        return self._values.get(_canon(key))
+        """The stored value for `key` if it re-verifies, or None."""
+        value = self._values.get(_canon(key))
+        if value is None or not {"n", "k", "what"} <= key.keys():
+            return None
+        n, k, size = (value.get(f) for f in ("modulus", "k", "value"))
+        # k >= 3 too: the checks below raise on a shorter progression length.
+        if not (all(type(x) is int for x in (n, k, size)) and k >= 3
+                and (n, k, value.get("status")) == (key["n"], key["k"], STATUS_EXACT)):
+            return None
+        if key["what"] == "b":
+            ok = is_free_witness(n, k, size, value.get("witness"))
+        else:
+            ok = is_proper_coloring(n, k, size, value.get("coloring"))
+        return value if ok else None
 
     def put(self, key: dict, value: dict) -> None:
         """Store and append `value` when its status is exact; drop it otherwise."""

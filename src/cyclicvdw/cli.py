@@ -83,29 +83,10 @@ def _open_cache(path) -> ResultsCache | None:
     return cache
 
 
-def _exact_value(cache: ResultsCache | None, key: dict) -> dict | None:
-    """The cached value for `key` if re-verified; anything else is a miss.
-    The cache holds exact records only, and the witness or coloring must pass
-    the check that a fresh search answer passes: `progressions.is_free_witness`
-    for b, `progressions.is_proper_coloring` for chi."""
-    value = cache.get(key) if cache is not None else None
-    if value is None:
-        return None
-    n, k = key["n"], key["k"]
-    modulus, length, size = (value.get(f) for f in ("modulus", "k", "value"))
-    if not (all(type(x) is int for x in (modulus, length, size))
-            and (modulus, length, value.get("status")) == (n, k, search.STATUS_EXACT)):
-        return None
-    if key["what"] == "b":
-        ok = progressions.is_free_witness(n, k, size, value.get("witness"))
-    else:
-        ok = progressions.is_proper_coloring(n, k, size, value.get("coloring"))
-    return value if ok else None
-
-
 def cmd_diffs(args) -> Output:
     n, k = args.n, args.k
     progressions._require(k >= 3, f"k must be >= 3, got {k}")
+    progressions._require(n >= k, f"modulus must be >= k, got N={n}, k={k}")
     sets = {}
     if args.method != "brute":
         progressions._require(
@@ -163,7 +144,7 @@ def cmd_exact(args) -> Output:
     budget = search.SearchBudget(args.budget_nodes, args.budget_seconds)
     key = {"op": "exact", "n": args.n, "k": args.k, "what": args.what}
     cache = _open_cache(args.cache)
-    value = _exact_value(cache, key)
+    value = cache.get(key) if cache is not None else None
     if value is None:
         solve = (search.independence_number if args.what == "b"
                  else search.chromatic_number)
@@ -195,8 +176,8 @@ def cmd_partition(args) -> Output:
 def _bounds_cell(m: int, k: int, cache: ResultsCache | None) -> dict:
     b = construction.theorem_bounds(m, k)
     exact, reason = b.exact, b.exactness_reason
-    if exact is None:
-        found = _exact_value(cache, {"op": "exact", "n": m * k, "k": k, "what": "b"})
+    if exact is None and cache is not None:
+        found = cache.get({"op": "exact", "n": m * k, "k": k, "what": "b"})
         if found is not None:
             exact, reason = found["value"], construction.EXACT_BY_SEARCH
     return {"lower": b.lower, "upper": b.upper,

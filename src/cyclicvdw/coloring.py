@@ -23,6 +23,8 @@ REGIME_K_LT_M = "k_lt_m"
 PROV_TWO_COLORS = "chi(mk,k)=2 for k>m"
 PROV_THREE_COLORS = "chi(k^2,k)<=3"
 PROV_THREE_PLUS_GAMMA = "chi(mk,k)<=3+gamma for k<m"
+_PROVENANCE = {REGIME_K_GT_M: PROV_TWO_COLORS, REGIME_K_EQ_M: PROV_THREE_COLORS,
+               REGIME_K_LT_M: PROV_THREE_PLUS_GAMMA}
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,7 @@ def wc_lower_bounds(k: int, m_max: int) -> list[WcBoundRow]:
 
 
 def wc_bound_for(m: int, k: int) -> WcBoundRow:
-    """The single W_c row contributed by the verified (m, k) partition."""
+    """The W_c row read off the verified (m, k) partition: its part count is
+    r and its modulus the strict lower bound."""
     plan = build_partition(m, k)
-    if plan.regime == REGIME_K_GT_M:
-        return WcBoundRow(k, 2, m * k, PROV_TWO_COLORS)
-    if plan.regime == REGIME_K_EQ_M:
-        return WcBoundRow(k, 3, k * k, PROV_THREE_COLORS)
-    return WcBoundRow(k, 3 + plan.gamma, m * k, PROV_THREE_PLUS_GAMMA)
+    return WcBoundRow(k, plan.part_count, plan.modulus, _PROVENANCE[plan.regime])

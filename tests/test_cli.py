@@ -85,6 +85,11 @@ UNVERIFIED_EXACT_CHI9 = [
                  id="not-a-list"),
 ]
 
+# A verified exact b(9,3) answer and its key.
+B9_KEY = {"op": "exact", "n": 9, "k": 3, "what": "b"}
+B9_VALUE = {"modulus": 9, "k": 3, "value": 4, "witness": [0, 1, 3, 4],
+            "status": "exact"}
+
 # The full stdout of small commands in each format.  A json entry is the
 # document; the command must print exactly json.dumps(doc, indent=2,
 # sort_keys=True) and a newline.  SETS stands for a file holding RESIDUE_FILE.
@@ -272,28 +277,26 @@ class TestResultsCache:
     def test_round_trip_through_disk(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultsCache(path)
-        key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
-        cache.put(key, {"status": "exact", "value": 7})
+        cache.put(B9_KEY, B9_VALUE)
         reloaded = ResultsCache(path)
         assert len(reloaded) == 1
-        assert reloaded.get(key) == {"status": "exact", "value": 7}
+        assert reloaded.get(B9_KEY) == B9_VALUE
 
     def test_exact_never_displaced_by_bound(self, tmp_path):
         cache = ResultsCache(tmp_path / "cache.jsonl")
-        key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
-        cache.put(key, {"status": "exact", "value": 9})
-        cache.put(key, {"status": "lower_bound_only", "value": 7})
-        assert cache.get(key) == {"status": "exact", "value": 9}
+        cache.put(B9_KEY, B9_VALUE)
+        cache.put(B9_KEY, {**B9_VALUE, "status": "lower_bound_only", "value": 3,
+                           "witness": [0, 1, 3]})
+        assert cache.get(B9_KEY) == B9_VALUE
 
     def test_later_bound_only_line_is_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        key = {"op": "exact", "n": 30, "k": 3, "what": "b"}
         path.write_text(
-            json.dumps({"key": key, "status": "exact", "value": {"value": 8}}) + "\n"
-            + json.dumps({"key": key, "status": "lower_bound_only",
-                          "value": {"value": 7}}) + "\n")
+            json.dumps({"key": B9_KEY, "status": "exact", "value": B9_VALUE}) + "\n"
+            + json.dumps({"key": B9_KEY, "status": "lower_bound_only",
+                          "value": {"value": 3}}) + "\n")
         cache = ResultsCache(path)
-        assert cache.get(key) == {"value": 8}
+        assert cache.get(B9_KEY) == B9_VALUE
         assert len(cache) == 1 and cache.corrupt_lines == 0
 
     def test_bound_only_put_writes_nothing(self, tmp_path):
@@ -317,25 +320,55 @@ class TestResultsCache:
 
     def test_key_order_is_canonical(self, tmp_path):
         cache = ResultsCache(tmp_path / "cache.jsonl")
-        cache.put({"a": 1, "b": 2}, {"status": "exact"})
-        assert cache.get({"b": 2, "a": 1}) is not None
+        cache.put(B9_KEY, B9_VALUE)
+        permuted = dict(reversed(B9_KEY.items()))
+        assert list(permuted) != list(B9_KEY)
+        assert cache.get(permuted) is not None
 
     def test_append_waits_for_the_file_lock(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("")
-        key = {"op": "exact", "n": 12, "k": 4, "what": "b"}
         with path.open("ab") as holder:
             fcntl.flock(holder, fcntl.LOCK_EX)
-            writer = threading.Thread(
-                target=ResultsCache(path).put,
-                args=(key, {"status": "exact", "value": 7}))
+            writer = threading.Thread(target=ResultsCache(path).put,
+                                      args=(B9_KEY, B9_VALUE))
             writer.start()
             writer.join(0.3)
             assert writer.is_alive() and path.read_text() == ""
             fcntl.flock(holder, fcntl.LOCK_UN)
             writer.join(10)
         assert not writer.is_alive()
-        assert ResultsCache(path).get(key) == {"status": "exact", "value": 7}
+        assert ResultsCache(path).get(B9_KEY) == B9_VALUE
+
+    @pytest.mark.parametrize("line", [
+        *UNVERIFIED_EXACT_B9, *UNVERIFIED_EXACT_CHI9,
+        pytest.param(INCOMPLETE_EXACT_B9, id="incomplete"),
+        pytest.param(exact_record("b", 9, 2, value=2, witness=[0, 1]),
+                     id="k-below-three"),
+    ])
+    def test_unverified_record_is_not_served(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line)
+        cache = ResultsCache(path)
+        assert len(cache) == 1
+        assert cache.get(json.loads(line)["key"]) is None
+
+    def test_verified_records_are_served(self, tmp_path):
+        # Re-verification checks the witness, not the optimality claim.
+        path = tmp_path / "cache.jsonl"
+        lines = [exact_record("b", 9, 3, value=3, witness=[0, 1, 3]),
+                 exact_record("chi", 9, 3, value=4,
+                              coloring=[0, 0, 1, 1, 2, 2, 3, 3, 1])]
+        path.write_text("".join(lines))
+        cache = ResultsCache(path)
+        for line in map(json.loads, lines):
+            assert cache.get(line["key"]) == line["value"]
+
+    def test_key_without_n_k_and_what_is_a_miss(self, tmp_path):
+        cache = ResultsCache(tmp_path / "cache.jsonl")
+        key = {"op": "exact", "n": 9, "k": 3}
+        cache.put(key, B9_VALUE)
+        assert len(cache) == 1 and cache.get(key) is None
 
     def test_torn_last_line_is_skipped_and_repaired(self, capsys, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -444,6 +477,14 @@ class TestDiffsCommand:
         code, out, err = run(capsys, "diffs", "--n", n, "--k", "3",
                              "--method", "closed")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["closed", "brute", "both"])
+    @pytest.mark.parametrize("n", ["-3", "0", "2"])
+    def test_modulus_below_k_names_n_and_k(self, capsys, method, n):
+        code, out, err = run(capsys, "diffs", "--n", n, "--k", "3",
+                             "--method", method)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: modulus must be >= k, got N={n}, k=3"]
 
 
 class TestConstructCommand:

@@ -152,6 +152,19 @@ class TestWcLowerBounds:
         row = wc_bound_for(5, 3)
         assert (row.r, row.strict_lower) == (6, 15)
 
+    def test_rows_match_their_partitions(self):
+        # r and the strict lower bound follow the regime, and they are the
+        # part count and modulus of the verified partition.
+        for k in range(3, 11):
+            for m in range(1, 13):
+                row = wc_bound_for(m, k)
+                r, provenance = ((2, PROV_TWO_COLORS) if k > m
+                                 else (3, PROV_THREE_COLORS) if k == m
+                                 else (3 + gamma_parts(m, k), PROV_THREE_PLUS_GAMMA))
+                assert (row.k, row.r, row.strict_lower, row.provenance) == \
+                    (k, r, m * k, provenance), (m, k)
+                assert row.r == build_partition(m, k).part_count, (m, k)
+
     def test_bounds_never_decrease_in_m(self):
         rows = wc_lower_bounds(4, 8)
         lows = [r.strict_lower for r in rows]
