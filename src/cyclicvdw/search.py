@@ -257,16 +257,31 @@ def is_r_colorable(
     color or a monochromatic edge.  A removed color is always a used one, so
     trying a new color only as the lowest unused one stays sound.  The
     coloring passes `is_proper_coloring` before it is handed back; a budget
-    kill raises BudgetExceededError, never a refutation.
+    kill raises BudgetExceededError, never a refutation.  Any r >= N is the
+    probe r = N, since N colors always suffice.
+
+    The maps x -> ux + t, u a unit, carry proper colorings to proper
+    colorings and unit-step runs c, c + u, ..., c + (L - 1)u to unit-step
+    runs.  Among the images of a proper coloring take one whose longest
+    monochromatic unit-step run is longest, and map that run to 0..L - 1 in
+    color 0.  Then L and N - 1 are not color 0, no unit-step run of L + 1
+    points is monochromatic in any color, and L <= k - 1, as a run of k
+    points is a progression.  So a probe is one branch per L = k - 1, ..., 1,
+    in that order.  Branch L takes every unit-step (L + 1)-run as an edge
+    (at L = k - 1 they are progressions already) and colors 0..L - 1 with
+    color 0 through the propagation, which bars color 0 from L and N - 1.  A
+    coloring in any branch ends the probe, a refutation closes every branch,
+    and the node and time budgets cover the probe.
     """
     _require(r >= 1, f"r must be positive, got {r}")
-    return _colorable(modulus, k, r, budget, _incidence(modulus, k))
+    return _colorable(modulus, k, min(r, modulus), budget, _incidence(modulus, k))
 
 
-def _incidence(n: int, k: int) -> list[list[int]]:
-    """For each vertex v, the masks of the other vertices of every edge of
-    enumerate_progressions(n, k) through v, in edge order; the enumeration
-    checks (N, k) for the coloring search before any list is built.
+def _incidence(n: int, k: int) -> dict[int, list[list[int]]]:
+    """Branch L = k - 1's lists, keyed by L: for each vertex v, the masks of
+    the other vertices of every edge of enumerate_progressions(n, k) through
+    v, in edge order.  The enumeration checks (N, k) before any list is
+    built; `_colorable` adds the other branches' lists as it reaches them.
     """
     edges = enumerate_progressions(n, k)
     inc: list[list[int]] = [[] for _ in range(n)]
@@ -276,12 +291,31 @@ def _incidence(n: int, k: int) -> list[list[int]]:
             mask |= 1 << v
         for v in p.elements:
             inc[v].append(mask ^ (1 << v))
-    return inc
+    return {k - 1: inc}
+
+
+def _with_runs(n: int, size: int, inc: list[list[int]]) -> list[list[int]]:
+    """inc with every unit-step run c, c + u, ..., c + (size - 1)u of Z_n,
+    u a unit, added once as an edge."""
+    every = (1 << n) - 1
+    firsts = {sum(1 << i * u % n for i in range(size))  # u and -u: same runs
+              for u in range(1, n // 2 + 1) if gcd(u, n) == 1}
+    runs = {((m << c) | (m >> (n - c))) & every for m in firsts for c in range(n)}
+    lists = [vs[:] for vs in inc]
+    for mask in runs:
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            lists[bit.bit_length() - 1].append(mask ^ bit)
+    return lists
 
 
 def _colorable(
-    n: int, k: int, r: int, budget: SearchBudget | None, inc: list[list[int]]
+    n: int, k: int, r: int, budget: SearchBudget | None,
+    tables: dict[int, list[list[int]]],
 ) -> tuple[int, ...] | None:
+    inc = tables[k - 1]
     if not any(inc):
         return _checked_coloring(n, k, r, [0] * n)
     if r == 1:
@@ -302,8 +336,8 @@ def _colorable(
             done |= 1 << v
             cls[c] |= 1 << v
             mine = cls[c]
-            if mine.bit_count() < k - 1:
-                continue  # no edge through v has k - 2 other vertices of color c
+            if mine.bit_count() < longest:
+                continue  # every edge has longest + 1 or more vertices
             other = done ^ mine  # colored, but not with c
             free = every ^ done
             for o in inc[v]:
@@ -364,7 +398,16 @@ def _colorable(
         return False
 
     try:
-        if not rec(0, [(1 << r) - 1] * n, [0] * r, 0):
+        for longest in range(k - 1, 0, -1):
+            if longest not in tables:
+                tables[longest] = _with_runs(n, longest + 1, tables[k - 1])
+            inc = tables[longest]
+            allowed, cls, done = [(1 << r) - 1] * n, [0] * r, 0
+            for v in range(longest):  # only the last one can force or fail
+                done = propagate(v, 0, done, allowed, cls)
+            if done >= 0 and rec(done, allowed, cls, 1):
+                break
+        else:
             return None
     finally:
         rec = None  # break the closure's self-reference
@@ -387,8 +430,8 @@ def chromatic_number(
 ) -> ColoringResult:
     """Smallest r admitting a proper r-coloring, trying r = 1, 2, ...
 
-    The edges and their incidence lists are built once and shared by every
-    probe.
+    The edge lists of each run branch are built once, when a probe first
+    reaches that branch, and shared by every probe.
     The budget applies per probe, each r with its own node count and deadline,
     so a call can run up to about N times `budget.max_seconds`.  Exact only
     when every smaller r was refuted rather than budget-killed.

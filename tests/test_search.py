@@ -176,8 +176,8 @@ class TestColorability:
         assert_proper(12, 4, coloring)
 
     def test_budget_kill_is_indeterminate(self):
-        # Neither a coloring nor a refutation.  Propagation refutes r = 2 in
-        # 3 nodes; r = 3 needs more than 10.
+        # Neither a coloring nor a refutation.  Propagation refutes r = 2
+        # before the first node; r = 3 needs more than 10.
         with pytest.raises(BudgetExceededError):
             is_r_colorable(30, 3, 3, SearchBudget(max_nodes=10))
 
@@ -190,6 +190,19 @@ class TestColorability:
             for r in range(1, 5):
                 found = is_r_colorable(n, k, r) is not None
                 assert found == helpers.fixed_order_colorable(n, k, r), (n, k, r)
+
+    @pytest.mark.parametrize("n,k,r,max_nodes", [
+        (29, 3, 4, 20_000), (25, 5, 2, 1_000), (35, 5, 2, 2_000),
+    ])
+    def test_refuted_within_budget(self, n, k, r, max_nodes):
+        # One branch per longest monochromatic run refutes these in 13,608,
+        # 187 and 807 nodes.
+        assert is_r_colorable(n, k, r, SearchBudget(max_nodes=max_nodes)) is None
+
+    def test_colors_past_modulus_build_no_huge_mask(self):
+        # Any r >= N is the probe r = N: N colors always suffice.
+        coloring = is_r_colorable(9, 3, 10**9)
+        assert progressions.is_proper_coloring(9, 3, 10**9, coloring)
 
     def test_trivial_when_no_edges(self):
         assert is_r_colorable(4, 5, 1) == (0, 0, 0, 0)
@@ -230,12 +243,12 @@ class TestChromaticNumber:
             chromatic_number(30, 3, SearchBudget(max_nodes=10))
 
     @pytest.mark.parametrize("n,k,expected", [
-        (34, 3, 4), (36, 3, 4), (37, 3, 4), (34, 5, 3),
-        # Refuting r = 4 takes 69k nodes.
-        (29, 3, 5),
+        (34, 3, 4), (36, 3, 4), (37, 3, 4), (34, 5, 3), (35, 5, 3),
+        # Refuting r = 4 takes 13,608, 24,996 and 47,711 nodes.
+        (29, 3, 5), (33, 3, 5), (39, 3, 5),
     ])
     def test_values_beyond_the_grid(self, n, k, expected):
-        # About 4 s in all, 3 s of it (29,3).
+        # About 3 s in all, 1.8 s of it (39,3).
         res = chromatic_number(n, k)
         assert (res.value, res.status) == (expected, STATUS_EXACT)
 
