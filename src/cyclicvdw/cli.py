@@ -15,8 +15,8 @@ import csv
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import coloring, construction, progressions, search
 from .cache import ResultsCache
@@ -45,8 +45,7 @@ def parse_range(text: str) -> list[int]:
     return list(range(lo_i, hi_i + 1))
 
 
-@dataclass
-class Output:
+class Output(NamedTuple):
     """A command's result: csv `fields` and `rows`, `text` lines, and the json
     document when it is not the rows themselves."""
 

@@ -8,8 +8,8 @@ it is; each verified one pushes a strict lower bound on W_c(k, r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .construction import build_avoiding, build_forbidden
 from .errors import InternalInconsistencyError
@@ -27,8 +27,7 @@ _PROVENANCE = {REGIME_K_GT_M: PROV_TWO_COLORS, REGIME_K_EQ_M: PROV_THREE_COLORS,
                REGIME_K_LT_M: PROV_THREE_PLUS_GAMMA}
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(NamedTuple):
     """Disjoint labeled parts covering Z_mk, each free of k-term progressions."""
 
     m: int
@@ -59,8 +58,7 @@ class PartitionPlan:
         }
 
 
-@dataclass(frozen=True)
-class WcBoundRow:
+class WcBoundRow(NamedTuple):
     """A strict lower bound W_c(k, r) > strict_lower and the result behind it."""
 
     k: int

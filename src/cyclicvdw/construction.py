@@ -8,7 +8,7 @@ on the independence number b(mk, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .progressions import _require
 from .serialize import record_dict
@@ -18,8 +18,7 @@ EXACT_BY_SEARCH = "search"
 EXACT_NONE = "none"
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(NamedTuple):
     """Blocks F_0..F_j and their union, indexed by the sorted closed-form D(mk,k)."""
 
     m: int
@@ -45,8 +44,7 @@ class ForbiddenSet:
         return d
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Two-sided bounds on b(mk, k), with the exact value when it is forced."""
 
     m: int

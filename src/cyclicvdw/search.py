@@ -11,8 +11,8 @@ checks that also re-verify cached answers and partition plans.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .construction import build_avoiding
 from .errors import BudgetExceededError, InternalInconsistencyError
@@ -26,18 +26,20 @@ STATUS_LOWER_BOUND_ONLY = "lower_bound_only"
 STATUS_UPPER_BOUND_ONLY = "upper_bound_only"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 10**8
-    max_seconds: float = 60.0
+class SearchBudget(NamedTuple("SearchBudget", [("max_nodes", int),
+                                               ("max_seconds", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require(self.max_nodes > 0, "max_nodes must be positive")
-        _require(self.max_seconds > 0, "max_seconds must be positive")
+    def __new__(cls, max_nodes: int = 10**8, max_seconds: float = 60.0):
+        _require(max_nodes > 0, "max_nodes must be positive")
+        _require(max_seconds > 0, "max_seconds must be positive")
+        return super().__new__(cls, max_nodes, max_seconds)
+
+    # `_replace` builds through `_make`, which would skip the checks above.
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(NamedTuple):
     modulus: int
     k: int
     value: int
@@ -49,8 +51,7 @@ class IndependenceResult:
     to_dict = record_dict
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     modulus: int
     k: int
     value: int

@@ -1,17 +1,15 @@
 """Shared wire format: residue sets as ascending comma-separated integers,
-and dataclass records as JSON objects."""
+and named-tuple records as JSON objects."""
 
 from __future__ import annotations
-
-from dataclasses import fields
 
 from .errors import InvalidArgumentError
 
 
 def record_dict(record) -> dict:
-    """A dataclass record's fields by name, with tuple values as lists."""
-    values = {f.name: getattr(record, f.name) for f in fields(record)}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    """A named-tuple record's fields by name, with tuple values as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in record._asdict().items()}
 
 
 def residues_to_text(residues) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import fcntl
 import io
 import json
@@ -43,7 +42,7 @@ def drop_first_forbidden(monkeypatch):
 
     def short(m, k):
         forb = real(m, k)
-        return dataclasses.replace(forb, union=forb.union[1:])
+        return forb._replace(union=forb.union[1:])
 
     monkeypatch.setattr(coloring, "build_forbidden", short)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from cyclicvdw import (
@@ -99,7 +97,7 @@ class TestBuildPartition:
         # An F short of its first element leaves a residue in no part.
         def short(m, k):
             forb = build_forbidden(m, k)
-            return dataclasses.replace(forb, union=forb.union[1:])
+            return forb._replace(union=forb.union[1:])
 
         monkeypatch.setattr(coloring, "build_forbidden", short)
         with pytest.raises(InternalInconsistencyError, match="do not partition"):
@@ -108,7 +106,7 @@ class TestBuildPartition:
     def test_part_holding_a_progression_is_internal_failure(self, monkeypatch):
         # B = Z_12 and F empty: the parts cover Z_12 once, but B is not free.
         def empty(m, k):
-            return dataclasses.replace(build_forbidden(m, k), union=())
+            return build_forbidden(m, k)._replace(union=())
 
         monkeypatch.setattr(coloring, "build_avoiding",
                             lambda m, k: tuple(range(m * k)))

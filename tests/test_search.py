@@ -166,6 +166,17 @@ class TestIndependenceNumber:
                 assert res.value < b.upper, (m, k)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_nodes", 0), ("max_nodes", -1),
+    ("max_seconds", 0), ("max_seconds", -1.0), ("max_seconds", float("nan")),
+])
+def test_budget_rejects_non_positive_limits(field, value):
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be positive"):
+        SearchBudget(**{field: value})
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be positive"):
+        SearchBudget()._replace(**{field: value})
+
+
 class TestColorability:
     def test_two_colors_refuted_for_nine_three(self):
         assert is_r_colorable(9, 3, 2) is None
