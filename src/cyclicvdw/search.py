@@ -6,6 +6,14 @@ colorability uses DSATUR backtracking with forced-color propagation.  Both
 respect node and wall-clock budgets.  Every witness and coloring they hand
 back has passed `progressions.is_free_witness` or `is_proper_coloring`, the
 checks that also re-verify cached answers and partition plans.
+
+Both split their trees by one lemma.  The maps x -> ux + t, u a unit mod N,
+carry progressions to progressions and unit-step runs c, c + u, ...,
+c + (L - 1)u to unit-step runs, so a search may look only at canonical
+images (McKay, J. Algorithms 26, 1998).  Among the images of a solution take
+one whose longest unit-step run of marked points is longest, L points long,
+moved to 0..L - 1 or 1..L: no unit-step run of L + 1 marked points remains,
+along any unit.  So each search is one branch per L.
 """
 
 from __future__ import annotations
@@ -114,6 +122,62 @@ def _greedy_independent(n: int, alive: int, keep: list[int], top: list[int]) -> 
     return inc
 
 
+def _polish(n: int, keep: list[int], verts: list[tuple[int, ...]], inc: int,
+            deadline: float) -> int:
+    """A free set at least as large as the free set inc, by iterated local
+    search (Andrade, Resende and Werneck, J. Heuristics 18, 2012): fill
+    moves and (2,1)-swaps until neither applies, then 8 kicks.  Kick i
+    forces in the first point out at or after i * N / 8, drops the largest
+    other point of each edge this completes, and settles again, keeping the
+    result unless it is smaller.  No kick starts past the deadline.
+    """
+    full = (1 << len(verts)) - 1
+    touch = [full ^ t for t in keep]
+
+    def swap(s: int, out: list[int], lone: list[int], pair: int) -> int:
+        # x in s for v and w out of it: s - x + v and s - x + w complete no
+        # edge, and no edge has just v and w outside s - x.
+        for x in range(n):
+            if s >> x & 1:
+                cand = [v for v, e in zip(out, lone) if not e & keep[x]]
+                for i, v in enumerate(cand):
+                    for w in cand[i + 1:]:
+                        if not touch[v] & touch[w] & pair & keep[x]:
+                            return 1 << x | 1 << v | 1 << w
+        return 0
+
+    def settle(s: int) -> int:
+        while True:
+            one = two = three = 0  # edges with at least 1, 2, 3 points out of s
+            out = [v for v in range(n) if not s >> v & 1]
+            for v in out:
+                t = touch[v]
+                one, two, three = one | t, two | one & t, three | two & t
+            lone = [touch[v] & (one ^ two) for v in out]  # what s + v completes
+            move = next((1 << v for v, e in zip(out, lone) if not e), 0) or \
+                swap(s, out, lone, two ^ three)
+            if not move:
+                return s
+            s ^= move
+
+    best = cur = settle(inc)
+    for i in range(8):
+        if time.monotonic() > deadline:
+            break
+        v = next(v % n for v in range(i * n // 8, n + i * n // 8)
+                 if not cur >> v % n & 1)
+        s, done = cur | 1 << v, touch[v]  # done: the edges through v inside s
+        for w in range(n):
+            if not s >> w & 1:
+                done &= keep[w]
+        while done:
+            x = next(x for x in verts[(done & -done).bit_length() - 1] if x != v)
+            s, done = s ^ 1 << x, done & keep[x]
+        cur = max(settle(s), cur, key=int.bit_count)  # ties move on
+        best = max(best, cur, key=int.bit_count)
+    return best
+
+
 def independence_number(
     modulus: int, k: int, budget: SearchBudget | None = None
 ) -> IndependenceResult:
@@ -130,32 +194,21 @@ def independence_number(
     first: those with one (a forced exclusion), then two, then more, the
     lowest edge id first within each.  So the tree and its node count follow
     from the edge order alone.  The greedy set seeds the incumbent, or Z_N
-    minus the forbidden-set construction when k | N and that is larger.
+    minus the forbidden-set construction when k | N and that is larger;
+    at N^2 nodes `_polish` improves it, so small trees never pay for that.
 
-    The tree is split by the maps x -> ux + t, u a unit mod N, which carry
-    progressions to progressions.  For k < N a maximum set misses a point,
-    since Z_N holds the progression 0, 1, ..., k - 1.  If two points of its
-    complement C differ by a unit u, take among the images x -> (x - c)/u,
-    c in C, one whose run c, c + u, ... of C is longest, and translate it
-    by +1.  If no two do, translate a point of C to 1.  With L the run's
-    length (L = 1 in the second case) the image holds 0 and L + 1, excludes
-    1..L, and has no L + 1 cyclically consecutive points out, or the run
-    would be longer.  At L = 1 it also holds every x with x - 1 a unit, or
-    x and 1 would be two points of C a unit apart.  So the search is one
-    branch per L = 1, 2, ... while N - L beats the incumbent; each decides
-    0..L + 1 first and refuses an exclusion that would make a run of L + 1.
-    For k >= N the greedy seed (Z_N, or Z_N minus N - 1) already has N - 1
-    points or more, so no branch runs.  The incumbent carries from branch to
-    branch; the node and time budgets cover the call.
+    The module's lemma marks the excluded points: for k < N a maximum set
+    misses one, as Z_N holds 0, 1, ..., k - 1.  Branch L = 1, 2, ... runs
+    while N - L beats the incumbent: it holds 0 and L + 1, excludes 1..L, and
+    refuses an exclusion that would leave a unit-step run of L + 1 points
+    out.  For k >= N the greedy seed (Z_N, or Z_N minus N - 1) has N - 1
+    points or more, so no branch runs.  The budgets cover the call.
 
-    These constraints are closed under the reflection y -> L + 1 - y, which
-    swaps y and N + L + 1 - y; at L = 1 the x with x - 1 a unit go to each
-    other, as (2 - y) - 1 = -(y - 1).  The search completes these pairs
-    middle first.  A set and its reflection first differ at the same pair,
-    one holding only its smaller vertex and the other only its larger one,
-    so while every completed pair is tied (both in or both out) the next may
-    not hold only its smaller vertex.  This is a lex-leader cut (Crawford et
-    al., KR 1996) on a canonical image (McKay, J. Algorithms 26, 1998).
+    Branch L is closed under the reflection y -> L + 1 - y, which swaps y
+    and N + L + 1 - y.  The search completes these pairs middle first, and
+    while every completed pair is tied (both in or both out) the next may
+    not hold only its smaller vertex: a set and its reflection first differ
+    at the same pair (a lex-leader cut, Crawford et al., KR 1996).
     """
     budget = budget or SearchBudget()
     start = time.monotonic()
@@ -167,19 +220,54 @@ def independence_number(
         best_mask = max(best_mask, sum(1 << v for v in build_avoiding(n // k, k)),
                         key=int.bit_count)
     best = best_mask.bit_count()
+    units = _units(n)  # bit d: v - d and v are a unit apart
 
     max_nodes = budget.max_nodes
     deadline = start + budget.max_seconds
+    large = n * n  # nodes from which a tree counts as large
     nodes = 0
 
-    def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool,
-            run: int) -> None:
+    def walled(v: int, inc_mask: int, near: int) -> bool:
+        # Whether excluding v completes a unit-step run of limit + 1 excluded
+        # points, near being the excluded points a unit away below v.  The
+        # run's other points are below v, so decided.  A small tree walks the
+        # line through v and each point of near; a large one reads a table
+        # built once per branch, which a small tree would not earn back.
+        nonlocal table
+        if nodes >= large:
+            if table is None:  # per vertex, each run's other points
+                table = [[] for _ in range(n)]
+                for m in _runs(n, limit + 1):
+                    t = m.bit_length() - 1
+                    table[t].append(m ^ 1 << t)
+            for m in table[v]:
+                if not m & inc_mask:
+                    return True
+            return False
+        out = ((1 << v) - 1) & ~inc_mask
+        while near:
+            w = (near & -near).bit_length() - 1
+            near, d, run = near & (near - 1), v - w, 1
+            p = w - d
+            while out >> p % n & 1:
+                run, p = run + 1, p - d
+            p = v + d
+            while out >> p % n & 1:
+                run, p = run + 1, p + d
+            if run >= limit:
+                return True
+        return False
+
+    def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
         if nodes > max_nodes or (
             nodes % 4096 == 0 and time.monotonic() > deadline
         ):
             raise BudgetExceededError("independence search budget exhausted")
+        if nodes == large:
+            best_mask = _polish(n, keep, verts, best_mask, deadline)
+            best = best_mask.bit_count()
         if idx == n:
             if inc_count > best:
                 best, best_mask = inc_count, inc_mask
@@ -209,14 +297,19 @@ def independence_number(
         if slack <= 0:
             return
         # While tied, idx may be out only if its partner w < idx is out too;
-        # idx in with w out unties the pairs.  `run` counts the exclusions
-        # since the last inclusion.
+        # idx in with w out unties the pairs.  An exclusion may not complete
+        # a unit-step run of limit + 1 excluded points, which would hold a
+        # point of `near`; at L = 1 that point and idx are the run.
         partner_in = tied and 2 * idx > s and inc_mask >> (s - idx) & 1
         if not alive & top[idx]:
             rec(idx + 1, inc_mask | (1 << idx), inc_count + 1, alive,
-                tied and (partner_in or 2 * idx <= s), 0)
-        if not (forced >> idx & 1 or partner_in or run == limit):
-            rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied, run + 1)
+                tied and (partner_in or 2 * idx <= s))
+        if partner_in:
+            return
+        near = units >> (n - idx) & ~inc_mask
+        if near and (limit == 1 or walled(idx, inc_mask, near)):
+            return
+        rec(idx + 1, inc_mask, inc_count, alive & keep[idx], tied)
 
     try:
         # One branch per longest run L = limit: 0 in, 1..L out, L + 1 in.
@@ -225,15 +318,14 @@ def independence_number(
             if n - limit <= best:
                 break
             alive &= keep[limit]
-            forced = (sum(1 << x for x in range(n) if gcd(x - 1, n) == 1)
-                      if limit == 1 else 0)
+            table = None  # built when the branch first needs it
             s = n + limit + 1  # y's partner is s - y
-            rec(limit + 2, 1 | 1 << (limit + 1), 2, alive, True, 0)
+            rec(limit + 2, 1 | 1 << (limit + 1), 2, alive, True)
         status = STATUS_EXACT
     except BudgetExceededError:
         status = STATUS_LOWER_BOUND_ONLY
     finally:
-        rec = None  # break the closure's self-reference
+        rec = walled = None  # break the closures' references
 
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
     if not is_free_witness(n, k, best, witness):
@@ -261,18 +353,16 @@ def is_r_colorable(
     kill raises BudgetExceededError, never a refutation.  Any r >= N is the
     probe r = N, since N colors always suffice.
 
-    The maps x -> ux + t, u a unit, carry proper colorings to proper
-    colorings and unit-step runs c, c + u, ..., c + (L - 1)u to unit-step
-    runs.  Among the images of a proper coloring take one whose longest
-    monochromatic unit-step run is longest, and map that run to 0..L - 1 in
-    color 0.  Then L and N - 1 are not color 0, no unit-step run of L + 1
-    points is monochromatic in any color, and L <= k - 1, as a run of k
-    points is a progression.  So a probe is one branch per L = k - 1, ..., 1,
-    in that order.  Branch L takes every unit-step (L + 1)-run as an edge
-    (at L = k - 1 they are progressions already) and colors 0..L - 1 with
-    color 0 through the propagation, which bars color 0 from L and N - 1.  A
-    coloring in any branch ends the probe, a refutation closes every branch,
-    and the node and time budgets cover the probe.
+    The maps carry proper colorings to proper colorings, so the module's
+    lemma applies with the color class whose longest unit-step run is
+    longest as the marked points, renamed color 0: no unit-step run of
+    L + 1 points is monochromatic in any color, and L <= k - 1, as a run of
+    k points is a progression.  So a probe is one branch per
+    L = k - 1, ..., 1, in that order.  Branch L takes every unit-step
+    (L + 1)-run as an edge (at L = k - 1 they are progressions already) and
+    colors 0..L - 1 with color 0 through the propagation, which bars color 0
+    from L and N - 1.  A coloring in any branch ends the probe, a refutation
+    closes every branch, and the node and time budgets cover the probe.
     """
     _require(r >= 1, f"r must be positive, got {r}")
     return _colorable(modulus, k, min(r, modulus), budget, _incidence(modulus, k))
@@ -295,15 +385,24 @@ def _incidence(n: int, k: int) -> dict[int, list[list[int]]]:
     return {k - 1: inc}
 
 
-def _with_runs(n: int, size: int, inc: list[list[int]]) -> list[list[int]]:
-    """inc with every unit-step run c, c + u, ..., c + (size - 1)u of Z_n,
-    u a unit, added once as an edge."""
+def _units(n: int) -> int:
+    """The mask of the units of Z_n: bit d is set iff gcd(d, n) = 1."""
+    return sum(1 << d for d in range(1, n) if gcd(d, n) == 1)
+
+
+def _runs(n: int, size: int) -> set[int]:
+    """The masks of the unit-step runs c, c + u, ..., c + (size - 1)u of Z_n."""
     every = (1 << n) - 1
+    units = _units(n)
     firsts = {sum(1 << i * u % n for i in range(size))  # u and -u: same runs
-              for u in range(1, n // 2 + 1) if gcd(u, n) == 1}
-    runs = {((m << c) | (m >> (n - c))) & every for m in firsts for c in range(n)}
+              for u in range(1, n // 2 + 1) if units >> u & 1}
+    return {((m << c) | (m >> (n - c))) & every for m in firsts for c in range(n)}
+
+
+def _with_runs(n: int, size: int, inc: list[list[int]]) -> list[list[int]]:
+    """inc with every unit-step run of `size` points added once as an edge."""
     lists = [vs[:] for vs in inc]
-    for mask in runs:
+    for mask in _runs(n, size):
         rest = mask
         while rest:
             bit = rest & -rest

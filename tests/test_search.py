@@ -33,8 +33,8 @@ def assert_proper(n, k, coloring):
 class TestIndependenceNumber:
     @pytest.mark.parametrize("n,k,expected", [
         (12, 4, 7), (9, 3, 4),
-        # Moduli with many divisors: few units, so the L = 1 branch forces
-        # few points in.
+        # Moduli with many divisors: few units, so the run limit refuses
+        # few exclusions.
         (24, 3, 8), (24, 4, 11), (24, 5, 16), (24, 6, 17), (30, 3, 8),
     ])
     def test_frozen_values(self, n, k, expected):
@@ -115,14 +115,53 @@ class TestIndependenceNumber:
         res = independence_number(30, 3, SearchBudget(max_nodes=max_nodes + 1))
         assert res.status == STATUS_EXACT
 
+    @pytest.mark.parametrize("n,k,expected,nodes", [
+        (40, 8, 29, 27_119), (40, 4, 17, 28_444),
+    ])
+    def test_exact_under_the_bench_budget(self, n, k, expected, nodes):
+        # Both close under the search benchmark's node budget.
+        res = independence_number(n, k, SearchBudget(max_nodes=30_000))
+        assert (res.value, res.status, res.nodes_explored) == \
+            (expected, STATUS_EXACT, nodes)
+
+    def test_local_search_waits_for_a_large_tree(self, monkeypatch):
+        # It runs once, at node N^2 = 1,600, and never when the node budget
+        # ran out first.
+        calls = []
+        polish = search._polish
+        monkeypatch.setattr(search, "_polish",
+                            lambda *a: calls.append(a) or polish(*a))
+        res = independence_number(40, 4, SearchBudget(max_nodes=1_599))
+        assert (res.status, calls) == (STATUS_LOWER_BOUND_ONLY, [])
+        res = independence_number(40, 4, SearchBudget(max_nodes=1_600))
+        assert (res.status, res.value, len(calls)) == (STATUS_LOWER_BOUND_ONLY, 17, 1)
+        assert progressions.is_free_witness(40, 4, 17, res.witness)
+
+    def test_local_search_kicks_stop_at_the_deadline(self):
+        # At (40,4) fills and swaps take the greedy 14 points to 15, and the
+        # kicks, which do not start past the deadline, to 17, the optimum.
+        keep, top, verts = search._edge_tables(40, 4)[:3]
+        seed = search._greedy_independent(40, (1 << len(verts)) - 1, keep, top)
+        late = search._polish(40, keep, verts, seed, float("-inf"))
+        kicked = search._polish(40, keep, verts, seed, float("inf"))
+        assert [m.bit_count() for m in (seed, late, kicked)] == [14, 15, 17]
+        assert progressions.is_free_witness(
+            40, 4, 15, [v for v in range(40) if late >> v & 1])
+
+    def test_local_search_output_is_checked(self, monkeypatch):
+        # An incumbent from the local search passes the same witness check.
+        monkeypatch.setattr(search, "_polish", lambda n, *args: (1 << n) - 1)
+        with pytest.raises(InternalInconsistencyError):
+            independence_number(40, 4)
+
     @pytest.mark.parametrize("n,k,expected", [
         (33, 3, 8), (40, 5, 24), (32, 4, 13), (40, 8, 29), (36, 4, 15),
         # Cheap cells, each under 0.05 s.
         (34, 3, 10), (30, 4, 14), (33, 4, 18), (36, 7, 26),
-        # Full trees of 153,562, 61,048 and 39,566 nodes.
+        # Full trees of 66,396, 40,110 and 28,444 nodes.
         (35, 5, 17), (36, 6, 22), (40, 4, 17),
         # Only the L = 1 branch, no two excluded points a unit apart, holds a
-        # maximum set: 24 and 28 nodes.
+        # maximum set: 23 and 28 nodes.
         (21, 8, 18), (25, 6, 20),
     ])
     def test_values_beyond_the_oracle(self, n, k, expected):
@@ -282,20 +321,20 @@ class TestChromaticNumber:
 PINNED_BUDGET = SearchBudget(max_nodes=30_000)
 PINNED_B = {
     (30, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 1334),
-    (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 2736),
-    (40, 5): (24, (0, 3, 4, 5, 6, 8, 9, 10, 11, 13, 16, 19, 20, 23, 24, 25,
-                   26, 28, 29, 30, 31, 33, 36, 39), STATUS_EXACT, 10142),
-    (32, 4): (13, (0, 4, 5, 6, 8, 9, 11, 15, 19, 20, 24, 27, 31),
-              STATUS_EXACT, 14169),
-    (40, 8): (29, (0, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 16, 17, 19, 22, 23,
-                   24, 25, 26, 27, 29, 30, 32, 33, 34, 35, 36, 37, 38),
-              STATUS_LOWER_BOUND_ONLY, 30001),
-    (36, 6): (22, (0, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 16, 18, 21, 22, 23,
-                   25, 27, 30, 31, 32, 34), STATUS_LOWER_BOUND_ONLY, 30001),
-    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 73),
-    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 214),
-    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 180),
-    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 455),
+    (33, 3): (8, (0, 1, 3, 4, 9, 10, 12, 13), STATUS_EXACT, 2065),
+    (40, 5): (24, (0, 3, 4, 5, 6, 8, 9, 10, 11, 14, 16, 18, 20, 23, 24, 25,
+                   26, 28, 29, 30, 31, 34, 36, 38), STATUS_EXACT, 7161),
+    (32, 4): (13, (0, 1, 2, 5, 6, 8, 9, 14, 15, 16, 18, 25, 30),
+              STATUS_EXACT, 9728),
+    (40, 8): (29, (0, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 17, 19, 20, 22,
+                   23, 24, 25, 27, 28, 29, 30, 32, 33, 35, 37, 38, 39),
+              STATUS_EXACT, 27119),
+    (36, 6): (22, (0, 1, 2, 3, 5, 6, 7, 8, 9, 13, 14, 15, 16, 18, 19, 21, 22,
+                   23, 24, 25, 32, 33), STATUS_LOWER_BOUND_ONLY, 30001),
+    (15, 3): (4, (0, 1, 3, 4), STATUS_EXACT, 64),
+    (18, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 11), STATUS_EXACT, 210),
+    (17, 6): (10, (0, 1, 2, 3, 4, 6, 7, 8, 9, 11), STATUS_EXACT, 132),
+    (19, 5): (10, (0, 1, 2, 3, 5, 6, 7, 8, 10, 12), STATUS_EXACT, 298),
 }
 PINNED_CHI = {
     (20, 3): (4, (0, 0, 1, 1, 0, 0, 1, 2, 2, 3, 2, 0, 3, 3, 0, 2, 2, 1, 3, 1),
