@@ -61,7 +61,7 @@ def closed_diffs(m: int, k: int) -> tuple[int, ...]:
     """Sorted D(mk, k) = {g : 1 <= g <= m, g | k}, by the closed form."""
     _require(m >= 1, f"m must be positive, got {m}")
     _require(k >= 3, f"k must be >= 3, got {k}")
-    return tuple(g for g in range(1, m + 1) if k % g == 0)
+    return tuple(g for g in range(1, min(m, k) + 1) if k % g == 0)
 
 
 def build_forbidden(m: int, k: int) -> ForbiddenSet:

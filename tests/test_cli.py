@@ -486,6 +486,15 @@ class TestDiffsCommand:
         assert err.splitlines() == [f"error: modulus must be >= k, got N={n}, k=3"]
 
 
+    def test_modulus_past_the_scan_cap_is_a_usage_error(self, capsys):
+        # The brute force refuses before it scans N/2 differences.
+        n = str(10**30)
+        code, out, err = run(capsys, "diffs", "--n", n, "--k", "3")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: modulus {n} exceeds the difference-set limit 10000000"]
+
+
 class TestConstructCommand:
     def test_text_with_verify(self, capsys):
         code, out, _ = run(capsys, "construct", "--m", "3", "--k", "15",

@@ -282,6 +282,17 @@ class TestDifferenceGcdSet:
                 closed = closed_diffs(n // k, k)
                 assert brute == closed, (n, k)
 
+    def test_brute_force_refuses_a_modulus_past_the_cap(self):
+        cap = progressions.DIFFERENCE_SCAN_CAP
+        for n in (cap + 1, 10**30):  # refused before the scan starts
+            with pytest.raises(InvalidArgumentError, match="difference-set limit"):
+                difference_gcd_set(n, 3)
+
+    def test_closed_forms_scan_no_further_than_the_divisors(self):
+        # g | k (or g | nk) bounds g, so a huge m costs nothing.
+        assert closed_diffs(10**30, 6) == (1, 2, 3, 6)
+        assert conjectured_difference_set(10**30, 2, 3) == (1, 2, 3, 6)
+
     @given(st.integers(3, 60).flatmap(
         lambda k: st.tuples(st.just(k), st.integers(k, 120))))
     def test_one_always_present(self, kn):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -147,6 +148,27 @@ class TestIndependenceNumber:
         assert [m.bit_count() for m in (seed, late, kicked)] == [14, 15, 17]
         assert progressions.is_free_witness(
             40, 4, 15, [v for v in range(40) if late >> v & 1])
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (12, 4), (17, 5), (40, 4)])
+    def test_edge_tables_put_the_first_edge_on_the_highest_bit(self, n, k):
+        # Edge i is bit E - 1 - i, so the lowest edge id is the highest set
+        # bit, and every table agrees with that order.
+        edges = progressions.enumerate_progressions(n, k)
+        keep, top, verts, clear1, clear2, one, pair = search._edge_tables(n, k)
+        size = len(edges)
+        assert [verts[b] for b in range(size)] == \
+            [edges[size - 1 - b].elements[::-1] for b in range(size)]
+        full = (1 << size) - 1
+        for v in range(n):
+            assert keep[v] == full ^ sum(1 << b for b, e in enumerate(verts) if v in e)
+            assert top[v] == sum(1 << b for b, e in enumerate(verts) if e[0] == v)
+        for b, e in enumerate(verts):
+            assert clear1[b] == keep[e[0]]
+            assert clear2[b] == keep[e[0]] & keep[e[1]]
+        for idx in range(n + 1):
+            assert one[idx] == sum(1 << b for b, e in enumerate(verts) if e[1] < idx)
+            assert pair[idx] == sum(1 << b for b, e in enumerate(verts)
+                                    if e[1] >= idx > e[2])
 
     def test_local_search_output_is_checked(self, monkeypatch):
         # An incumbent from the local search passes the same witness check.
@@ -351,6 +373,20 @@ class TestSearchTreeIsPinned:
         res = independence_number(n, k, PINNED_BUDGET)
         assert (res.value, res.witness, res.status, res.nodes_explored) == \
             PINNED_B[n, k]
+
+    def test_independence_grid(self):
+        # A crc32 over the search benchmark's b grid and five heavy cells
+        # under its budget: any change to the bound, the branching order or
+        # the edge order moves some node count or witness.
+        cells = [(n, k) for n in range(8, 21) for k in range(3, 7)]
+        cells += [(30, 3), (33, 3), (32, 4), (40, 5), (36, 4)]
+        rows = []
+        for n, k in cells:
+            res = independence_number(n, k, PINNED_BUDGET)
+            rows.append((n, k, res.value, res.status, res.nodes_explored,
+                         res.witness))
+        assert sum(row[4] for row in rows) == 43_010
+        assert f"{zlib.crc32(repr(sorted(rows)).encode()):08x}" == "525990ec"
 
     @pytest.mark.parametrize("n,k", list(PINNED_CHI))
     def test_chromatic(self, n, k):
